@@ -1,6 +1,7 @@
 // Thread-scaling sweep for the multithreaded software path.
 //
-// Runs the CPA S-SLIC software segmenter on a 1080p synthetic frame at
+// Runs the CPA S-SLIC software segmenter on a synthetic frame (1920x1080
+// by default; --width/--height set it, and the CI gate runs 640x360) at
 // thread counts {1, 2, 4, 8, hardware_concurrency} and reports ms/frame
 // plus speedup over the serial run. Sweep points that oversubscribe the
 // machine (threads > hardware threads) are skipped by default — timing an
@@ -148,7 +149,8 @@ int main(int argc, char** argv) {
   ThreadPool::set_global_threads(0);
 
   const double serial_ms = points.front().ms;
-  Table table("1080p frame time vs thread count");
+  Table table(std::to_string(width) + "x" + std::to_string(height) +
+              " frame time vs thread count");
   table.set_header({"threads", "ms/frame", "fps", "speedup", "convert", "assign",
                     "update", "other", "labels vs serial"});
   for (auto& point : points) {

@@ -6,6 +6,7 @@
 #include "common/perf_counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "slic/assign_kernels.h"
 
 namespace sslic {
 
@@ -14,17 +15,38 @@ double srgb_inverse_gamma(double encoded) {
   return std::pow((encoded + 0.055) / 1.055, 2.4);
 }
 
-double lab_f(double t) {
-  if (t > kLabEpsilon) return std::cbrt(t);
-  return (kLabKappa * t + 16.0) / 116.0;
+namespace {
+
+// glibc 2.36 sysdeps/ieee754/dbl-64/s_cbrt.c for a positive normal x,
+// operation for operation (this TU builds with -ffp-contract=off).
+double cbrt_transcribed(double x) {
+  int xe = 0;
+  const double xm = std::frexp(x, &xe);
+  const auto& c = kCbrtPoly;
+  const double u =
+      c[0] +
+      (c[1] + (c[2] + (c[3] + (c[4] + (c[5] - c[6] * xm) * xm) * xm) * xm) *
+                  xm) *
+          xm;
+  const double t2 = u * u * u;
+  const double ym = u * (t2 + 2.0 * xm) / (2.0 * t2 + xm) *
+                    kCbrtFactor[static_cast<std::size_t>(2 + xe % 3)];
+  return std::ldexp(ym, xe / 3);
 }
 
-namespace {
+}  // namespace
+
+double lab_f(double t) {
+  // cbrt_transcribed needs a positive normal argument; t > kLabEpsilon
+  // guarantees one.
+  if (t > kLabEpsilon) return cbrt_transcribed(t);
+  return (kLabKappa * t + 16.0) / 116.0;
+}
 
 // Inverse gamma is a pure function of the 8-bit channel value; tabulating
 // it is exact (not an approximation) and removes the pow() hotspot from
 // the conversion phase.
-const std::array<double, 256>& gamma_table() {
+const std::array<double, 256>& srgb_gamma_table() {
   static const std::array<double, 256> table = [] {
     std::array<double, 256> t{};
     for (int v = 0; v < 256; ++v)
@@ -34,12 +56,11 @@ const std::array<double, 256>& gamma_table() {
   return table;
 }
 
-}  // namespace
-
 LabF srgb_to_lab(Rgb8 rgb) {
-  const double r = gamma_table()[rgb.r];
-  const double g = gamma_table()[rgb.g];
-  const double b = gamma_table()[rgb.b];
+  const std::array<double, 256>& gamma = srgb_gamma_table();
+  const double r = gamma[rgb.r];
+  const double g = gamma[rgb.g];
+  const double b = gamma[rgb.b];
 
   const double x = kSrgbToXyz[0] * r + kSrgbToXyz[1] * g + kSrgbToXyz[2] * b;
   const double y = kSrgbToXyz[3] * r + kSrgbToXyz[4] * g + kSrgbToXyz[5] * b;
@@ -67,13 +88,21 @@ void srgb_to_lab(const RgbImage& image, LabImage& lab) {
   SSLIC_PERF_SCOPE("color.srgb_to_lab");
   if (lab.width() != image.width() || lab.height() != image.height())
     lab = LabImage(image.width(), image.height());
-  // Pure per-pixel map: identical output for any range partition.
+  const kernels::KernelTable& k = kernels::active();
+  const double* gamma = srgb_gamma_table().data();
+  const Rgb8* in = image.pixels().data();
+  LabF* out = lab.pixels().data();
+  // Pure per-pixel map: identical output for any range partition, and the
+  // kernel contract makes it identical for every backend.
   parallel_for(0, static_cast<std::int64_t>(image.size()),
                [&](std::int64_t lo, std::int64_t hi) {
                  SSLIC_TRACE_SCOPE_AT(1, "color.srgb_to_lab.chunk", lo);
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   const auto idx = static_cast<std::size_t>(i);
-                   lab.pixels()[idx] = srgb_to_lab(image.pixels()[idx]);
+                 // The kernel counts pixels in int32.
+                 constexpr std::int64_t kMaxSpan = std::int64_t{1} << 30;
+                 for (std::int64_t i = lo; i < hi; i += kMaxSpan) {
+                   const auto n = static_cast<std::int32_t>(
+                       std::min(hi - i, kMaxSpan));
+                   k.srgb_to_lab_row(in + i, n, gamma, out + i);
                  }
                });
 }

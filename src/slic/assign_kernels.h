@@ -1,8 +1,9 @@
-// Vectorized distance/assignment kernels with runtime ISA dispatch.
+// Vectorized row kernels with runtime ISA dispatch.
 //
 // These row kernels are the software hot path of every segmenter in
 // the family — the per-pixel 5-D distance + argmin that the accelerator
-// implements as parallel distance calculators feeding a minimum tree:
+// implements as parallel distance calculators feeding a minimum tree —
+// plus the colour conversion in front of it:
 //
 //   * assign_center_row       CPA/SLIC: one center's running-min update
 //                             over a row segment of its 2Sx2S window.
@@ -23,6 +24,11 @@
 //                             per-label sigma registers (the software
 //                             analogue of the accelerator's tile-resident
 //                             cluster update unit).
+//   * srgb_to_lab_row         sRGB -> CIELAB over interleaved pixels, the
+//                             software counterpart of the accelerator's
+//                             colour-conversion unit; bit-identical to the
+//                             per-pixel reference srgb_to_lab(Rgb8)
+//                             (color/color_convert.h) for every 8-bit input.
 //
 // Bit-identical contract (carried over from the threading layer, DESIGN.md
 // "Parallel execution"): every pixel's arithmetic is lane-independent and
@@ -46,6 +52,7 @@
 #include <cstdint>
 
 #include "common/simd.h"
+#include "image/image.h"
 #include "slic/center_update.h"
 
 namespace sslic::kernels {
@@ -135,6 +142,13 @@ struct KernelTable {
   void (*accumulate_row)(const float* L, const float* a, const float* b,
                          std::int32_t x0, std::int32_t count, std::int32_t y,
                          const std::int32_t* labels, Sigma* sigmas);
+
+  /// sRGB -> CIELAB: for i in [0, count), lab[i] = srgb_to_lab(rgb[i]) bit
+  /// for bit. `gamma` is the 256-entry srgb_gamma_table(). The cube root
+  /// is the glibc transcription lab_f uses; vector backends evaluate both
+  /// sides of lab_f's branch and blend.
+  void (*srgb_to_lab_row)(const Rgb8* rgb, std::int32_t count,
+                          const double* gamma, LabF* lab);
 };
 
 /// True when the backend for `isa` was compiled into this binary (the

@@ -20,6 +20,11 @@
 //     (arithmetic shift by a uniform runtime count), min_i32, cmplt_i32,
 //     select_i32, mask_i32_from_bytes, all_eq_i32 (every lane of a equals
 //     the corresponding lane of b).
+//   conversion path (kLanesF64 pixels): div, load_channel(p, gamma, c)
+//     (looks channel c of kLanesF64 interleaved Rgb8 pixels up in the
+//     256-entry gamma table), mantissa (frexp's xm in [0.5, 1) of a positive normal),
+//     exponent_lookup(t, table) = table[biased exponent of t mod 8],
+//     store_lab (narrow L/a/b to float and interleave into LabF).
 //
 // The distance arithmetic mirrors DistanceCalculator::squared and
 // HwSlic::integer_distance term for term:
@@ -33,12 +38,20 @@
 // the same bytes as a full-width lane would.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
+#include "color/color_convert.h"
 #include "slic/assign_kernels.h"
 
 namespace sslic::kernels {
+
+/// IEEE double bit masks of the conversion path's frexp: the mantissa
+/// field, and the biased exponent of 0.5 (so mantissa | it is in [0.5, 1)).
+inline constexpr std::uint64_t kF64MantissaBits = (std::uint64_t{1} << 52) - 1;
+inline constexpr std::uint64_t kF64HalfExponent = std::uint64_t{0x3fe} << 52;
 
 /// The scalar backend: one lane, plain C++ arithmetic. Also the tail
 /// handler of every vector backend.
@@ -87,6 +100,23 @@ struct ScalarBackend {
   static VI select_i32(MI m, VI a, VI b) { return m ? a : b; }
   static MI mask_i32_from_bytes(const std::uint8_t* p) { return *p != 0; }
   static bool all_eq_i32(VI a, VI b) { return a == b; }
+
+  static VD div(VD a, VD b) { return a / b; }
+  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
+    return gamma[reinterpret_cast<const std::uint8_t*>(p)[c]];
+  }
+  static VD mantissa(VD t) {
+    const auto bits = std::bit_cast<std::uint64_t>(t);
+    return std::bit_cast<double>((bits & kF64MantissaBits) | kF64HalfExponent);
+  }
+  static VD exponent_lookup(VD t, const double* table) {
+    return table[(std::bit_cast<std::uint64_t>(t) >> 52) & 7];
+  }
+  static void store_lab(LabF* p, VD L, VD a, VD b) {
+    p->L = static_cast<float>(L);
+    p->a = static_cast<float>(a);
+    p->b = static_cast<float>(b);
+  }
 };
 
 template <typename B>
@@ -361,12 +391,97 @@ void accumulate_row_impl(const float* L, const float* a, const float* b,
   }
 }
 
+// Exact vector sRGB -> CIELAB (DESIGN.md §4c). The reference lab_f takes
+// the cube root as glibc does: xm = frexp(t, &xe), a polynomial and one
+// Halley-style step in xm, then ldexp(ym * factor[2 + xe%3], xe/3).
+// Lanes cannot index tables or branch, so:
+//   * frexp is exponent-bit arithmetic (mantissa());
+//   * the two exponent-dependent scales fold into one: multiplying by
+//     factor * 2^(xe/3) rounds exactly like multiplying by factor and then
+//     scaling by a power of two, because power-of-two scaling is exact at
+//     these magnitudes. t > kLabEpsilon > 2^-7 and t < 2 give xe in
+//     [-6, 1], eight values whose biased exponents 1016..1023 are distinct
+//     mod 8, so the scale is one 8-entry lookup on the exponent's low bits;
+//   * both sides of lab_f's branch are computed and blended. Lanes on the
+//     linear side (t = 0 included) run the cube root on garbage that the
+//     blend discards; the lookup is masked to 8 entries, so it stays in
+//     bounds for every input.
+// Everything else is the reference's operation sequence. y / Yr is
+// omitted because Yr == 1.0 makes the division an exact identity.
+// tests/test_color.cpp checks every backend against srgb_to_lab(Rgb8) on
+// all 2^24 colours.
+inline constexpr std::array<double, 8> kCbrtScale = [] {
+  std::array<double, 8> scale{};
+  for (int k = 0; k < 8; ++k) {
+    const int xe = k - 6;  // biased exponent 1016 + k
+    double s = kCbrtFactor[static_cast<std::size_t>(2 + xe % 3)];
+    for (int q = xe / 3; q < 0; ++q) s *= 0.5;
+    scale[static_cast<std::size_t>(k)] = s;
+  }
+  return scale;
+}();
+static_assert(kReferenceWhite[1] == 1.0, "srgb_to_lab_row skips y / Yr");
+// The backends address pixels as packed bytes and floats.
+static_assert(sizeof(Rgb8) == 3 && sizeof(LabF) == 3 * sizeof(float));
+
+template <typename B>
+typename B::VD lab_f_impl(typename B::VD t) {
+  const auto xm = B::mantissa(t);
+  auto p = B::sub(B::set1_f64(kCbrtPoly[5]),
+                  B::mul(B::set1_f64(kCbrtPoly[6]), xm));
+  for (int k = 4; k >= 0; --k)
+    p = B::add(B::set1_f64(kCbrtPoly[static_cast<std::size_t>(k)]),
+               B::mul(p, xm));
+  const auto u = p;
+  const auto t2 = B::mul(B::mul(u, u), u);
+  const auto two = B::set1_f64(2.0);
+  const auto ym = B::div(B::mul(u, B::add(t2, B::mul(two, xm))),
+                         B::add(B::mul(two, t2), xm));
+  const auto root = B::mul(ym, B::exponent_lookup(t, kCbrtScale.data()));
+  const auto linear =
+      B::div(B::add(B::mul(B::set1_f64(kLabKappa), t), B::set1_f64(16.0)),
+             B::set1_f64(116.0));
+  return B::select_f64(B::cmplt_f64(B::set1_f64(kLabEpsilon), t), root,
+                       linear);
+}
+
+template <typename B>
+void srgb_to_lab_row_impl(const Rgb8* rgb, std::int32_t count,
+                          const double* gamma, LabF* lab) {
+  constexpr std::int32_t kL = B::kLanesF64;
+  std::int32_t i = 0;
+  for (; i + kL <= count; i += kL) {
+    const auto r = B::load_channel(rgb + i, gamma, 0);
+    const auto g = B::load_channel(rgb + i, gamma, 1);
+    const auto b = B::load_channel(rgb + i, gamma, 2);
+    const auto row = [&](std::size_t m) {
+      return B::add(B::add(B::mul(B::set1_f64(kSrgbToXyz[m]), r),
+                           B::mul(B::set1_f64(kSrgbToXyz[m + 1]), g)),
+                    B::mul(B::set1_f64(kSrgbToXyz[m + 2]), b));
+    };
+    const auto fx =
+        lab_f_impl<B>(B::div(row(0), B::set1_f64(kReferenceWhite[0])));
+    const auto fy = lab_f_impl<B>(row(3));
+    const auto fz =
+        lab_f_impl<B>(B::div(row(6), B::set1_f64(kReferenceWhite[2])));
+    B::store_lab(lab + i,
+                 B::sub(B::mul(B::set1_f64(116.0), fy), B::set1_f64(16.0)),
+                 B::mul(B::set1_f64(500.0), B::sub(fx, fy)),
+                 B::mul(B::set1_f64(200.0), B::sub(fy, fz)));
+  }
+  if constexpr (kL > 1) {
+    if (i < count)
+      srgb_to_lab_row_impl<ScalarBackend>(rgb + i, count - i, gamma, lab + i);
+  }
+}
+
 /// Builds one backend's dispatch table from the template instantiations.
 template <typename B>
 KernelTable make_table() {
   return KernelTable{&assign_center_row_impl<B>, &assign_candidates_row_impl<B>,
                      &assign_candidates_row_seeded_impl<B>,
-                     &assign_candidates_row_u8_impl<B>, &accumulate_row_impl<B>};
+                     &assign_candidates_row_u8_impl<B>, &accumulate_row_impl<B>,
+                     &srgb_to_lab_row_impl<B>};
 }
 
 }  // namespace sslic::kernels

@@ -84,6 +84,33 @@ struct NeonBackend {
     r = vand_u32(r, vrev64_u32(r));
     return vget_lane_u32(r, 0) == 0xFFFFFFFFu;
   }
+
+  static VD div(VD a, VD b) { return vdivq_f64(a, b); }
+  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p) + c;
+    return vcombine_f64(vdup_n_f64(gamma[bytes[0]]),
+                        vdup_n_f64(gamma[bytes[3]]));
+  }
+  static VD mantissa(VD t) {
+    const uint64x2_t bits = vorrq_u64(
+        vandq_u64(vreinterpretq_u64_f64(t), vdupq_n_u64(kF64MantissaBits)),
+        vdupq_n_u64(kF64HalfExponent));
+    return vreinterpretq_f64_u64(bits);
+  }
+  static VD exponent_lookup(VD t, const double* table) {
+    const uint64x2_t idx =
+        vandq_u64(vshrq_n_u64(vreinterpretq_u64_f64(t), 52), vdupq_n_u64(7));
+    return vcombine_f64(vdup_n_f64(table[vgetq_lane_u64(idx, 0)]),
+                        vdup_n_f64(table[vgetq_lane_u64(idx, 1)]));
+  }
+  static void store_lab(LabF* p, VD L, VD a, VD b) {
+    // vst3 interleaves the two (L, a, b) float triples.
+    float32x2x3_t lab;
+    lab.val[0] = vcvt_f32_f64(L);
+    lab.val[1] = vcvt_f32_f64(a);
+    lab.val[2] = vcvt_f32_f64(b);
+    vst3_f32(reinterpret_cast<float*>(p), lab);
+  }
 };
 
 }  // namespace

@@ -115,6 +115,30 @@ struct Sse2Backend {
   static bool all_eq_i32(VI a, VI b) {
     return _mm_movemask_epi8(_mm_cmpeq_epi32(a, b)) == 0xFFFF;
   }
+
+  static VD div(VD a, VD b) { return _mm_div_pd(a, b); }
+  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p) + c;
+    return _mm_setr_pd(gamma[bytes[0]], gamma[bytes[3]]);
+  }
+  static VD mantissa(VD t) {
+    return _mm_or_pd(
+        _mm_and_pd(t, _mm_castsi128_pd(_mm_set1_epi64x(kF64MantissaBits))),
+        _mm_castsi128_pd(_mm_set1_epi64x(kF64HalfExponent)));
+  }
+  static VD exponent_lookup(VD t, const double* table) {
+    std::uint64_t bits[2] = {};
+    std::memcpy(bits, &t, sizeof(bits));
+    return _mm_setr_pd(table[(bits[0] >> 52) & 7], table[(bits[1] >> 52) & 7]);
+  }
+  static void store_lab(LabF* p, VD L, VD a, VD b) {
+    float l[4] = {}, av[4] = {}, bv[4] = {};
+    _mm_storeu_ps(l, _mm_cvtpd_ps(L));
+    _mm_storeu_ps(av, _mm_cvtpd_ps(a));
+    _mm_storeu_ps(bv, _mm_cvtpd_ps(b));
+    p[0] = {l[0], av[0], bv[0]};
+    p[1] = {l[1], av[1], bv[1]};
+  }
 };
 
 }  // namespace

@@ -1,16 +1,77 @@
-// Tests for src/color: the double-precision reference conversion (Eqs. 1-4)
-// and the accelerator's LUT color-conversion unit (Fig. 4, Section 6.1).
+// Tests for src/color: the double-precision reference conversion (Eqs. 1-4),
+// its exact vector kernels (checked on all 2^24 colours), and the
+// accelerator's LUT color-conversion unit (Fig. 4, Section 6.1).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "color/color_convert.h"
 #include "color/lab8.h"
 #include "color/lut_color_unit.h"
 #include "common/rng.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
+#include "slic/assign_kernels.h"
 
 namespace sslic {
 namespace {
+
+bool same_bits(const LabF& a, const LabF& b) {
+  return std::memcmp(&a, &b, sizeof(LabF)) == 0;
+}
+
+/// The conversion as the golden labels were recorded: lab_f's cube root
+/// taken from the host libm's std::cbrt.
+LabF srgb_to_lab_std_cbrt(Rgb8 rgb) {
+  const auto f = [](double t) {
+    if (t > kLabEpsilon) return std::cbrt(t);
+    return (kLabKappa * t + 16.0) / 116.0;
+  };
+  const std::array<double, 256>& gamma = srgb_gamma_table();
+  const double r = gamma[rgb.r];
+  const double g = gamma[rgb.g];
+  const double b = gamma[rgb.b];
+  const double x = kSrgbToXyz[0] * r + kSrgbToXyz[1] * g + kSrgbToXyz[2] * b;
+  const double y = kSrgbToXyz[3] * r + kSrgbToXyz[4] * g + kSrgbToXyz[5] * b;
+  const double z = kSrgbToXyz[6] * r + kSrgbToXyz[7] * g + kSrgbToXyz[8] * b;
+  const double fx = f(x / kReferenceWhite[0]);
+  const double fy = f(y / kReferenceWhite[1]);
+  const double fz = f(z / kReferenceWhite[2]);
+  return {static_cast<float>(116.0 * fy - 16.0),
+          static_cast<float>(500.0 * (fx - fy)),
+          static_cast<float>(200.0 * (fy - fz))};
+}
+
+/// Converts all 2^24 colours with `convert(rgb, count, lab)` and counts the
+/// ones whose bits differ from srgb_to_lab(Rgb8). Slab r holds the 65536
+/// colours with red = r; slabs are spread over the global pool.
+template <typename Convert>
+std::int64_t mismatches_over_all_colors(const Convert& convert) {
+  constexpr std::int32_t kSlab = 256 * 256;
+  std::atomic<std::int64_t> mismatches{0};
+  parallel_for(0, 256, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<Rgb8> rgb(kSlab);
+    std::vector<LabF> lab(kSlab);
+    std::int64_t local = 0;
+    for (std::int64_t r = lo; r < hi; ++r) {
+      for (std::int32_t i = 0; i < kSlab; ++i) {
+        rgb[static_cast<std::size_t>(i)] = {static_cast<std::uint8_t>(r),
+                                            static_cast<std::uint8_t>(i >> 8),
+                                            static_cast<std::uint8_t>(i)};
+      }
+      convert(rgb.data(), kSlab, lab.data());
+      for (std::size_t i = 0; i < rgb.size(); ++i)
+        local += same_bits(lab[i], srgb_to_lab(rgb[i])) ? 0 : 1;
+    }
+    mismatches += local;
+  });
+  return mismatches.load();
+}
 
 // ------------------------------------------------------ reference (Eq. 1-4)
 
@@ -102,7 +163,71 @@ TEST(ColorReference, FullImageConversionMatchesPerPixel) {
   const LabImage lab = srgb_to_lab(img);
   EXPECT_EQ(lab(0, 0), srgb_to_lab(img(0, 0)));
   EXPECT_EQ(lab(2, 1), srgb_to_lab(img(2, 1)));
+
+  // Larger random images through the global pool: every range partition
+  // must give the per-pixel bits, reusing one output image across calls.
+  struct ThreadsGuard {
+    ~ThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } guard;
+  Rng rng(2024);
+  LabImage reused;
+  for (const auto& [w, h] : {std::pair{97, 61}, std::pair{640, 37}}) {
+    RgbImage random(w, h);
+    for (auto& px : random.pixels())
+      px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255))};
+    for (const int threads : {1, 2, 3, 4}) {
+      ThreadPool::set_global_threads(threads);
+      srgb_to_lab(random, reused);
+      ASSERT_EQ(reused.width(), w);
+      ASSERT_EQ(reused.height(), h);
+      for (std::size_t i = 0; i < random.size(); ++i) {
+        ASSERT_TRUE(same_bits(reused.pixels()[i],
+                              srgb_to_lab(random.pixels()[i])))
+            << "pixel " << i << " threads=" << threads << " " << w << "x"
+            << h;
+      }
+    }
+  }
 }
+
+// ------------------------------------------- exhaustive (all 2^24 colours)
+
+TEST(ColorExhaustive, ReferenceMatchesStdCbrtFormulation) {
+  // The transcribed cube root must reproduce the labels recorded with
+  // std::cbrt: every 8-bit colour, compared as bits.
+  EXPECT_EQ(mismatches_over_all_colors(
+                [](const Rgb8* rgb, std::int32_t count, LabF* lab) {
+                  for (std::int32_t i = 0; i < count; ++i)
+                    lab[i] = srgb_to_lab_std_cbrt(rgb[i]);
+                }),
+            0);
+}
+
+class SrgbToLabRowExhaustive : public ::testing::TestWithParam<simd::Isa> {};
+
+TEST_P(SrgbToLabRowExhaustive, MatchesReferenceOnAllColors) {
+  const simd::Isa isa = GetParam();
+  if (!kernels::backend_compiled(isa) || !simd::cpu_supports(isa))
+    GTEST_SKIP() << simd::isa_name(isa) << " not runnable here";
+  const kernels::KernelTable& table = kernels::table_for(isa);
+  const double* gamma = srgb_gamma_table().data();
+  EXPECT_EQ(mismatches_over_all_colors(
+                [&](const Rgb8* rgb, std::int32_t count, LabF* lab) {
+                  table.srgb_to_lab_row(rgb, count, gamma, lab);
+                }),
+            0)
+      << simd::isa_name(isa);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, SrgbToLabRowExhaustive,
+    ::testing::Values(simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2,
+                      simd::Isa::kAvx512, simd::Isa::kNeon),
+    [](const ::testing::TestParamInfo<simd::Isa>& param) {
+      return std::string(simd::isa_name(param.param));
+    });
 
 // ------------------------------------------------------------------- Lab8
 

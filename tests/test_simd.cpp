@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "color/color_convert.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/telemetry.h"
@@ -396,6 +397,53 @@ TEST(SimdKernels, AssignCandidatesRowU8MatchesScalarExactly) {
           got.data() + offset);
       ASSERT_EQ(got, ref) << "labels diverged, isa=" << simd::isa_name(isa)
                           << " trial=" << trial;
+    }
+  }
+}
+
+TEST(SimdKernels, SrgbToLabRowTailsAndOffsetsMatchScalar) {
+  // Every count from 0 to three of the widest vectors (8 lanes), from
+  // misaligned input and output starts; pixels past `count` must stay
+  // untouched. Dark channels put lanes on both sides of lab_f's branch.
+  const std::vector<simd::Isa> isas = testable_vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector backend compiled for this CPU";
+  const kernels::KernelTable& scalar = kernels::scalar_table();
+  const double* gamma = srgb_gamma_table().data();
+  constexpr std::int32_t kMaxCount = 3 * 8;
+  constexpr std::size_t kSlack = 8;
+  const LabF sentinel{-1.0f, -2.0f, -3.0f};
+
+  Rng rng(0xc0105);
+  for (std::int32_t count = 0; count <= kMaxCount; ++count) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto in_off = static_cast<std::size_t>(rng.next_int(0, 7));
+      const auto out_off = static_cast<std::size_t>(rng.next_int(0, 7));
+      std::vector<Rgb8> rgb(in_off + static_cast<std::size_t>(count));
+      for (Rgb8& px : rgb) {
+        const int hi = rng.next_bool(0.5) ? 24 : 255;
+        px = {static_cast<std::uint8_t>(rng.next_int(0, hi)),
+              static_cast<std::uint8_t>(rng.next_int(0, hi)),
+              static_cast<std::uint8_t>(rng.next_int(0, hi))};
+      }
+      std::vector<LabF> ref(out_off + static_cast<std::size_t>(count) + kSlack,
+                            sentinel);
+      scalar.srgb_to_lab_row(rgb.data() + in_off, count, gamma,
+                             ref.data() + out_off);
+      for (std::int32_t i = 0; i < count; ++i) {
+        ASSERT_EQ(ref[out_off + static_cast<std::size_t>(i)],
+                  srgb_to_lab(rgb[in_off + static_cast<std::size_t>(i)]))
+            << "scalar kernel vs reference, count=" << count << " i=" << i;
+      }
+      for (const simd::Isa isa : isas) {
+        std::vector<LabF> got(ref.size(), sentinel);
+        kernels::table_for(isa).srgb_to_lab_row(rgb.data() + in_off, count,
+                                                gamma, got.data() + out_off);
+        ASSERT_EQ(std::memcmp(got.data(), ref.data(),
+                              ref.size() * sizeof(LabF)),
+                  0)
+            << "isa=" << simd::isa_name(isa) << " count=" << count
+            << " in_off=" << in_off << " out_off=" << out_off;
+      }
     }
   }
 }
