@@ -16,16 +16,13 @@
 // and the paper's Table-2 per-iteration figures (318 MB classic CPA,
 // 100 MB PPA) for context.
 //
-// Two extra arms run at the max-thread point (DESIGN.md §4g): the
-// cluster-centric assignment schedule (wall clock plus its once-per-pixel
-// modelled traffic, which undercuts the row sweep's per-window re-reads)
-// and a BatchSegmenter group that amortizes dispatch/seeding overhead
-// across frames. Both are identity-checked before timing is trusted.
+// An extra arm runs at the max-thread point (DESIGN.md §4g): a
+// BatchSegmenter group that amortizes dispatch/seeding overhead across
+// frames, identity-checked before its timing is trusted.
 //
 //   fused_iteration [--frames=5] [--width=1920 --height=1080]
 //                   [--superpixels=2000] [--ratio=1.0]
 //                   [--simd=scalar|sse2|avx2|avx512|neon]
-//                   [--assign=auto|row|cluster]
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -60,16 +57,6 @@ int main(int argc, char** argv) {
   if (!simd_request.empty() && !simd::set_preferred_isa(simd_request)) {
     std::cerr << "unknown --simd value '" << simd_request << "'\n";
     return 2;
-  }
-  const std::string assign_request = args.get_string("assign", "");
-  if (!assign_request.empty()) {
-    AssignStrategy assign = AssignStrategy::kAuto;
-    if (!parse_assign_strategy(assign_request, &assign)) {
-      std::cerr << "unknown --assign value '" << assign_request
-                << "' (expected auto|row|cluster)\n";
-      return 2;
-    }
-    set_assign_strategy(assign);
   }
 
   const int hw_threads = ThreadPool::default_threads();
@@ -211,48 +198,6 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
 
-  // --- Cluster-schedule arm (DESIGN.md §4g), max-thread point, fused ---
-  // The cluster schedule touches each pixel's Lab/distance/label entries
-  // once, so its modelled traffic undercuts the row sweep's per-window
-  // re-reads deterministically; wall clock is machine-dependent (see the
-  // heuristic discussion in §4g). Labels/centers must match the row arm
-  // byte for byte.
-  double cluster_ms = 0.0;
-  double cluster_bytes_per_iter = 0.0;
-  bool cluster_identical = true;
-  {
-    FusionGuard fusion_guard(true);
-    Segmentation row_ref;
-    Segmentation cluster_result;
-    IterationScratch scratch;
-    {
-      const AssignStrategyGuard row_guard(AssignStrategy::kRow);
-      slic.segment_lab_into(lab, row_ref, scratch);
-    }
-    const AssignStrategyGuard cluster_guard(AssignStrategy::kCluster);
-    Instrumentation cluster_instr;
-    std::vector<double> times;
-    for (int f = -1; f < frames; ++f) {  // f == -1 warms the arm, untimed
-      Stopwatch watch;
-      slic.segment_lab_into(lab, cluster_result, scratch, {}, &cluster_instr);
-      if (f >= 0) times.push_back(watch.elapsed_ms());
-    }
-    cluster_ms = median(std::move(times));
-    cluster_bytes_per_iter = cluster_instr.traffic_bytes_per_iteration();
-    cluster_identical =
-        std::equal(cluster_result.labels.pixels().begin(),
-                   cluster_result.labels.pixels().end(),
-                   row_ref.labels.pixels().begin()) &&
-        std::memcmp(cluster_result.centers.data(), row_ref.centers.data(),
-                    cluster_result.centers.size() * sizeof(ClusterCenter)) == 0;
-    std::cout << "cluster schedule (fused, " << last.threads
-              << " thread(s)): " << Table::num(cluster_ms, 1) << " ms/frame, "
-              << Table::si(cluster_bytes_per_iter, 1)
-              << "B modelled DRAM/iteration, labels/centers "
-              << (cluster_identical ? "identical to row" : "DIVERGED (bug!)")
-              << '\n';
-  }
-
   // --- Batched arm: BatchSegmenter over a small frame group ---
   // Amortizes per-frame dispatch, center seeding, and trace overhead; each
   // frame's output must equal its single-frame run bit for bit (the batch
@@ -303,9 +248,6 @@ int main(int argc, char** argv) {
                        "bytes", 0.01)
       .lower_is_better("two_pass_bytes_per_iteration",
                        last.two_pass.bytes_per_iter, "bytes", 0.01)
-      .lower_is_better("cluster_ms_per_frame", cluster_ms, "ms", 0.15)
-      .lower_is_better("cluster_bytes_per_iteration", cluster_bytes_per_iter,
-                       "bytes", 0.01)
       .lower_is_better("batch_ms_per_frame", batch_ms_per_frame, "ms", 0.15);
 
   bench::Json sweep = bench::Json::array();
@@ -331,10 +273,6 @@ int main(int argc, char** argv) {
       .set("paper_table2_mb_per_iteration",
            bench::Json::object().set("cpa_two_pass", 318).set("ppa", 100))
       .set("sweep", std::move(sweep))
-      .set("cluster", bench::Json::object()
-                          .set("ms_per_frame", cluster_ms)
-                          .set("bytes_per_iteration", cluster_bytes_per_iter)
-                          .set("identical_to_row", cluster_identical))
       .set("batch", bench::Json::object()
                         .set("frames_per_batch", batch_group)
                         .set("ms_per_frame", batch_ms_per_frame)

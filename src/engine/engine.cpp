@@ -12,7 +12,6 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "slic/assign_strategy.h"
 #include "slic/temporal.h"
 
 namespace sslic::engine {
@@ -445,9 +444,8 @@ void StreamEngine::scheduler_loop() {
     callbacks_.clear();
     drafts_.clear();
     // Batch-wide segment-stage facts, resolved once: the wide event stores
-    // static name strings so common/frame_log never depends on slic headers.
+    // a static name string so common/frame_log never depends on slic headers.
     const char* const isa = simd::isa_name(simd::preferred_isa());
-    const char* const assign = assign_strategy_name(assign_strategy());
     const auto batch_frames = static_cast<std::uint32_t>(batch_.size());
     for (BatchEntry& entry : batch_) {
       Stream& stream = *entry.stream;
@@ -473,7 +471,6 @@ void StreamEngine::scheduler_loop() {
       draft.event.iterations =
           static_cast<std::uint32_t>(stream.instr.iterations);
       draft.event.isa = isa;
-      draft.event.assign = assign;
       draft.event.fused = stream.instr.fused;
       draft.event.warm = entry.warm;
       draft.event.batch_frames = batch_frames;

@@ -3,7 +3,7 @@
 //
 // A single-frame call pays per-frame overheads that a batch can amortize:
 // one thread-pool drain per parallel region (several regions per frame),
-// kernel-table/strategy resolution, trace-span and telemetry arming, and
+// kernel-table resolution, trace-span and telemetry arming, and
 // cold working buffers. BatchSegmenter instead dispatches *frames* across
 // the pool — one run_chunks drain per batch — and runs each frame's inner
 // segmenter serially (nested parallel regions fall back to serial via

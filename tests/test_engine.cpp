@@ -2,8 +2,8 @@
 //
 //  - per-stream byte-identity: frames interleaved across K streams through
 //    the engine produce labels and centers byte-identical to K independent
-//    sequential TemporalSlic runs, across fusion x assign strategy x
-//    thread counts (the engine-level face of the determinism contract).
+//    sequential TemporalSlic runs, across fusion x thread counts (the
+//    engine-level face of the determinism contract).
 //  - zero-allocation steady state across all active streams, proven by a
 //    counting global operator new installed in this binary.
 //  - admission control: shed rejects at the bound, drop-oldest evicts the
@@ -26,7 +26,6 @@
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "engine/engine.h"
-#include "slic/assign_strategy.h"
 #include "slic/batch.h"
 #include "slic/fusion.h"
 #include "slic/slic_baseline.h"
@@ -114,8 +113,8 @@ TEST(StreamEngine, SingleStreamMatchesTemporalSlic) {
 TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
   // Three streams with different params and geometries, frames submitted
   // interleaved (all K of frame f before any wait), across the fusion x
-  // assign-strategy x thread-count matrix. Each stream must match its own
-  // independent sequential TemporalSlic run byte for byte.
+  // thread-count matrix. Each stream must match its own independent
+  // sequential TemporalSlic run byte for byte.
   GlobalThreadsGuard threads_guard;
   struct StreamCase {
     SlicParams params;
@@ -132,54 +131,44 @@ TEST(StreamEngine, InterleavedStreamsMatchIndependentSequentialRuns) {
 
   for (const bool fused : {true, false}) {
     FusionGuard fusion_guard(fused);
-    for (const AssignStrategy strategy :
-         {AssignStrategy::kRow, AssignStrategy::kCluster}) {
-      AssignStrategyGuard strategy_guard(strategy);
-      for (const int threads : {1, 4}) {
-        ThreadPool::set_global_threads(threads);
-        const std::string what = std::string("fused=") +
-                                 (fused ? "1" : "0") + " strategy=" +
-                                 (strategy == AssignStrategy::kRow
-                                      ? "row"
-                                      : "cluster") +
-                                 " threads=" + std::to_string(threads);
+    for (const int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      const std::string what = std::string("fused=") + (fused ? "1" : "0") +
+                               " threads=" + std::to_string(threads);
 
-        std::vector<std::vector<RgbImage>> frames;
-        std::vector<TemporalSlic> references;
-        for (const StreamCase& c : cases) {
-          frames.push_back(
-              synthetic_frames(kFrames, c.width, c.height, c.seed));
-          references.emplace_back(c.params);
-        }
-
-        StreamEngine engine;
-        std::vector<StreamId> ids;
-        for (const StreamCase& c : cases) {
-          StreamOptions opts;
-          opts.params = c.params;
-          ids.push_back(engine.open_stream(opts));
-        }
-
-        for (std::size_t f = 0; f < kFrames; ++f) {
-          std::vector<FrameTicket> tickets;
-          for (std::size_t s = 0; s < cases.size(); ++s) {
-            const auto submitted = engine.submit(ids[s], frames[s][f]);
-            ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
-            tickets.push_back(submitted.ticket);
-          }
-          for (std::size_t s = 0; s < cases.size(); ++s) {
-            ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted)
-                << what;
-            const Segmentation& want = references[s].next_frame(frames[s][f]);
-            const Segmentation* got = engine.last_result(ids[s]);
-            ASSERT_NE(got, nullptr) << what;
-            expect_identical(*got, want,
-                             what + " stream=" + std::to_string(s) +
-                                 " frame=" + std::to_string(f));
-          }
-        }
-        for (const StreamId id : ids) engine.close_stream(id);
+      std::vector<std::vector<RgbImage>> frames;
+      std::vector<TemporalSlic> references;
+      for (const StreamCase& c : cases) {
+        frames.push_back(synthetic_frames(kFrames, c.width, c.height, c.seed));
+        references.emplace_back(c.params);
       }
+
+      StreamEngine engine;
+      std::vector<StreamId> ids;
+      for (const StreamCase& c : cases) {
+        StreamOptions opts;
+        opts.params = c.params;
+        ids.push_back(engine.open_stream(opts));
+      }
+
+      for (std::size_t f = 0; f < kFrames; ++f) {
+        std::vector<FrameTicket> tickets;
+        for (std::size_t s = 0; s < cases.size(); ++s) {
+          const auto submitted = engine.submit(ids[s], frames[s][f]);
+          ASSERT_EQ(submitted.status, SubmitStatus::kAdmitted) << what;
+          tickets.push_back(submitted.ticket);
+        }
+        for (std::size_t s = 0; s < cases.size(); ++s) {
+          ASSERT_EQ(engine.wait(tickets[s]), WaitStatus::kCompleted) << what;
+          const Segmentation& want = references[s].next_frame(frames[s][f]);
+          const Segmentation* got = engine.last_result(ids[s]);
+          ASSERT_NE(got, nullptr) << what;
+          expect_identical(*got, want,
+                           what + " stream=" + std::to_string(s) +
+                               " frame=" + std::to_string(f));
+        }
+      }
+      for (const StreamId id : ids) engine.close_stream(id);
     }
   }
 }
@@ -577,7 +566,6 @@ TEST(StreamEngine, WideEventStagesSumToEndToEndLatency) {
         << "stages must tile the end-to-end latency, frame " << f;
     EXPECT_GT(e.iterations, 0u);
     EXPECT_STRNE(e.isa, "");
-    EXPECT_STRNE(e.assign, "");
     EXPECT_GE(e.batch_frames, 1u);
     EXPECT_GT(e.completed_ns, 0u);
     // Frame 1 cold-starts; temporal warm starts kick in from frame 2.

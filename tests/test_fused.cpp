@@ -24,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
-#include "slic/assign_strategy.h"
 #include "slic/batch.h"
 #include "slic/center_update.h"
 #include "slic/fusion.h"
@@ -137,15 +136,10 @@ void expect_identical(const Segmentation& fused, const Segmentation& two_pass,
       << what << ": centers differ at the byte level";
 }
 
-TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
+TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreads) {
   // The full identity matrix: every algorithm variant x every compiled
-  // backend x thread counts x both assignment schedules. Within one
-  // (variant, isa, threads) cell the four runs — {row, cluster} x
-  // {fused, two-pass} — must all be byte-identical: fusion by the §4e
-  // contract, and the cluster schedule by the §4g argument (same centers
-  // per pixel, same ascending order, same strict-< arithmetic). PPA
-  // ignores the strategy switch (it is natively cluster-centric), so for
-  // PPA variants the strategy loop doubles as an invariance check.
+  // backend x thread counts. Within one (variant, isa, threads) cell the
+  // fused and two-pass runs must be byte-identical (the §4e contract).
   const GroundTruthImage gt = generate_synthetic({160, 120}, 41);
   const LabImage lab = srgb_to_lab(gt.image);
   IsaGuard isa_guard;
@@ -155,22 +149,11 @@ TEST(FusedIteration, MatchesTwoPassAcrossVariantsIsasThreadsAndStrategies) {
       simd::set_preferred_isa(isa);
       for (const int threads : {1, 3, 7}) {
         ThreadPool::set_global_threads(threads);
-        Segmentation baseline;
-        for (const AssignStrategy strategy :
-             {AssignStrategy::kRow, AssignStrategy::kCluster}) {
-          AssignStrategyGuard strategy_guard(strategy);
-          const std::string what = v.name + " isa=" + simd::isa_name(isa) +
-                                   " threads=" + std::to_string(threads) +
-                                   " assign=" + assign_strategy_name(strategy);
-          const Segmentation fused = run_variant(v, lab, true);
-          const Segmentation two_pass = run_variant(v, lab, false);
-          expect_identical(fused, two_pass, what);
-          if (strategy == AssignStrategy::kRow) {
-            baseline = two_pass;
-          } else {
-            expect_identical(two_pass, baseline, what + " vs row baseline");
-          }
-        }
+        const std::string what = v.name + " isa=" + simd::isa_name(isa) +
+                                 " threads=" + std::to_string(threads);
+        const Segmentation fused = run_variant(v, lab, true);
+        const Segmentation two_pass = run_variant(v, lab, false);
+        expect_identical(fused, two_pass, what);
       }
     }
   }
@@ -342,9 +325,7 @@ TEST(BatchSegmenter, MatchesSingleFrameRunsAcrossThreads) {
 TEST(BatchSegmenter, SteadyStateBatchesAreAllocationFree) {
   // Same-geometry batches reuse every per-slot buffer: after the first
   // batch warms the pools, a batch performs zero heap allocations (the
-  // amortization the multi-stream seam exists for). The cluster schedule
-  // is pinned so its span/bucket scratch reuse is covered too.
-  const AssignStrategyGuard strategy_guard(AssignStrategy::kCluster);
+  // amortization the multi-stream seam exists for).
   SlicParams params;
   params.num_superpixels = 80;
   params.max_iterations = 5;
