@@ -180,9 +180,9 @@ void run_pass(const kernels::KernelTable& table, Kernel kernel,
         break;
       case Kernel::kCandidatesRow:
         table.assign_candidates_row(
-            wl.L.data() + off, wl.a.data() + off, wl.b.data() + off, 0, width,
-            static_cast<double>(r), wl.cands.data(), 9, wl.spatial_weight,
-            nullptr, state.min_dist.data() + off, state.labels.data() + off);
+            wl.L.data() + off, wl.a.data() + off, wl.b.data() + off, 0, 1,
+            width, static_cast<double>(r), wl.cands.data(), 9,
+            wl.spatial_weight, nullptr, state.labels.data() + off);
         break;
       case Kernel::kCandidatesRowU8:
         table.assign_candidates_row_u8(

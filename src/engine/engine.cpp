@@ -389,6 +389,13 @@ void StreamEngine::scheduler_loop() {
     // batch (one clock read — the stages must tile the timeline exactly).
     const double form_ms = clock_.elapsed_ms();
     const std::size_t num_streams = streams_.size();
+    // A batch holds at most one frame per stream. Sizing the per-batch
+    // vectors by the stream count (a no-op unless streams were opened)
+    // keeps a steady-state frame off the heap when streams that used to
+    // arrive apart first land in one batch.
+    batch_.reserve(num_streams);
+    callbacks_.reserve(num_streams);
+    drafts_.reserve(num_streams);
     for (std::size_t step = 0; step < num_streams; ++step) {
       if (options_.max_batch_frames != 0 &&
           batch_.size() >= options_.max_batch_frames)

@@ -8,11 +8,14 @@
 //   * assign_center_row       CPA/SLIC: one center's running-min update
 //                             over a row segment of its 2Sx2S window.
 //   * assign_candidates_row   PPA: best-of-9-candidates per pixel over a
-//                             tile row, with the round-robin subset mask.
+//                             run of pixels spaced x_step apart — a
+//                             subset-major run of the active subset
+//                             (PpaSlic), or a natural row segment with an
+//                             optional subset mask (TiledSegmenter).
 //   * assign_candidates_row_u8  The 8-bit integer datapath variant of the
 //                             same (HwSlic golden model).
-//   * accumulate_row          Fused-iteration sigma accumulation: scatters
-//                             one row's Lab/x/y contributions into the
+//   * accumulate_row          Sigma accumulation: scatters a run's Lab/x/y
+//                             contributions (pixels x_step apart) into the
 //                             per-label sigma registers (the software
 //                             analogue of the accelerator's tile-resident
 //                             cluster update unit).
@@ -29,9 +32,9 @@
 // DistanceCalculator::squared / HwSlic::integer_distance, no FMA
 // contraction (kernel TUs build with -ffp-contract=off), strict `<`
 // comparisons so distance ties keep the lowest center index in every lane.
-// Labels, min-distances, and therefore centers are byte-identical across
-// scalar/SSE2/AVX2/AVX-512/NEON backends, tail lengths, and thread counts;
-// tests/test_simd.cpp asserts this exhaustively.
+// Labels, CPA min-distances, and therefore centers are byte-identical
+// across scalar/SSE2/AVX2/AVX-512/NEON backends, tail lengths, x_steps and
+// thread counts; tests/test_simd.cpp asserts this exhaustively.
 //
 // Each backend lives in its own translation unit compiled with the
 // matching architecture flags (assign_kernels_{scalar,sse2,avx2,neon}.cpp)
@@ -85,14 +88,17 @@ struct KernelTable {
 
   /// PPA best-of-candidates: for i in [0, count) with active[i] != 0 (a
   /// null `active` means every pixel), finds the candidate with the
-  /// minimum distance (ties keep the earliest list slot) and stores the
-  /// distance into min_dist[i] and the candidate index into labels[i].
-  /// Inactive pixels are left untouched. `ncand` must be >= 1.
+  /// minimum distance to pixel (x0 + x_step*i, y) (ties keep the earliest
+  /// list slot) and stores the candidate index into labels[i]. Inactive
+  /// pixels are left untouched. `ncand` must be >= 1. The operands of
+  /// element i are L/a/b[i]: a natural row segment uses x_step 1, a
+  /// subset-major run (image/planar.h) the schedule's column stride.
   void (*assign_candidates_row)(const float* L, const float* a, const float* b,
-                                std::int32_t x0, std::int32_t count, double y,
+                                std::int32_t x0, std::int32_t x_step,
+                                std::int32_t count, double y,
                                 const CenterOperand* cands, std::int32_t ncand,
                                 double spatial_weight,
-                                const std::uint8_t* active, double* min_dist,
+                                const std::uint8_t* active,
                                 std::int32_t* labels);
 
   /// 8-bit integer datapath best-of-candidates (HwSlic::integer_distance
@@ -109,15 +115,16 @@ struct KernelTable {
                                    const std::uint8_t* active,
                                    std::int32_t* labels);
 
-  /// Fused-iteration sigma scatter: for i in [0, count), adds pixel
-  /// (x0+i, y)'s Lab color and coordinates into sigmas[labels[i]] in the
-  /// exact field order of Sigma::add (L, a, b, x, y, count). Vector
-  /// backends widen `kLanesF64` floats at a time but always scatter in
-  /// ascending lane order — the f32->f64 widening is exact and the
-  /// accumulation order matches the scalar loop, so sigma sums are
-  /// bit-equal to the scalar reference on every backend.
+  /// Sigma scatter: for i in [0, count), adds pixel (x0 + x_step*i, y)'s
+  /// Lab color L/a/b[i] and its coordinates into sigmas[labels[i]], in
+  /// ascending i and the exact field order of Sigma::add (L, a, b, x, y,
+  /// count). Runs of equal labels are summed in registers and the integer
+  /// fields in closed form; both keep every IEEE operation of the
+  /// per-pixel loop, so sigma sums are bit-equal to the scalar reference
+  /// on every backend and for every x_step.
   void (*accumulate_row)(const float* L, const float* a, const float* b,
-                         std::int32_t x0, std::int32_t count, std::int32_t y,
+                         std::int32_t x0, std::int32_t x_step,
+                         std::int32_t count, std::int32_t y,
                          const std::int32_t* labels, Sigma* sigmas);
 
   /// sRGB -> CIELAB: for i in [0, count), lab[i] = srgb_to_lab(rgb[i]) bit

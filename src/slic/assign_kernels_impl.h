@@ -164,22 +164,29 @@ void assign_center_row_impl(const float* L, const float* a, const float* b,
 
 template <typename B>
 void assign_candidates_row_impl(const float* L, const float* a, const float* b,
-                                std::int32_t x0, std::int32_t count, double y,
+                                std::int32_t x0, std::int32_t x_step,
+                                std::int32_t count, double y,
                                 const CenterOperand* cands, std::int32_t ncand,
                                 double spatial_weight,
-                                const std::uint8_t* active, double* min_dist,
+                                const std::uint8_t* active,
                                 std::int32_t* labels) {
   constexpr std::int32_t kL = B::kLanesF64;
   const auto w = B::set1_f64(spatial_weight);
   const auto yv = B::set1_f64(y);
   const auto inf = B::set1_f64(std::numeric_limits<double>::infinity());
+  // Lane j of a block starting at pixel i sits at column x0 + x_step*(i+j):
+  // integers far below 2^53, so every lane's x is the exact double the
+  // scalar reference converts.
+  const auto lane_dx =
+      B::mul(B::set1_f64(static_cast<double>(x_step)), B::iota_f64(0.0));
 
   std::int32_t i = 0;
   for (; i + kL <= count; i += kL) {
     const auto pl = B::load_f32(L + i);
     const auto pa = B::load_f32(a + i);
     const auto pb = B::load_f32(b + i);
-    const auto xv = B::iota_f64(static_cast<double>(x0 + i));
+    const auto xv =
+        B::add(B::set1_f64(static_cast<double>(x0 + x_step * i)), lane_dx);
     auto best = inf;
     auto best_idx = B::set1_lab(cands[0].index);
     for (std::int32_t k = 0; k < ncand; ++k) {
@@ -198,12 +205,9 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
       best_idx = B::select_lab(m, B::set1_lab(c.index), best_idx);
     }
     if (active == nullptr) {
-      B::storeu_f64(min_dist + i, best);
       B::storeu_lab(labels + i, best_idx);
     } else {
       const auto am = B::mask_f64_from_bytes(active + i);
-      B::storeu_f64(min_dist + i,
-                    B::select_f64(am, best, B::loadu_f64(min_dist + i)));
       B::storeu_lab(labels + i,
                     B::select_lab(am, best_idx, B::loadu_lab(labels + i)));
     }
@@ -211,9 +215,9 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
   if constexpr (kL > 1) {
     if (i < count) {
       assign_candidates_row_impl<ScalarBackend>(
-          L + i, a + i, b + i, x0 + i, count - i, y, cands, ncand,
-          spatial_weight, active == nullptr ? nullptr : active + i,
-          min_dist + i, labels + i);
+          L + i, a + i, b + i, x0 + x_step * i, x_step, count - i, y, cands,
+          ncand, spatial_weight, active == nullptr ? nullptr : active + i,
+          labels + i);
     }
   }
 }
@@ -289,8 +293,9 @@ void assign_candidates_row_u8_impl(
 //     `s.L += l_i` repeated. (f32 -> f64 widening is exact.)
 //  2. Closed forms for the integer fields. x, y and count only ever hold
 //     integers (well under 2^53), so every partial sum in the reference
-//     loop is exact — the arithmetic-series total for x, y*len, and
-//     count+len are the same doubles the per-pixel adds produce.
+//     loop is exact — the arithmetic-series total for x (step x_step, the
+//     column stride of a subset-major run), y*len, and count+len are the
+//     same doubles the per-pixel adds produce.
 //
 // The summation itself — three dependent double-add chains per run — is
 // latency-bound, not throughput-bound, so SIMD widening doesn't pay there.
@@ -301,7 +306,8 @@ void assign_candidates_row_u8_impl(
 // their order are unchanged, so the output stays bit-identical.
 template <typename B>
 void accumulate_row_impl(const float* L, const float* a, const float* b,
-                         std::int32_t x0, std::int32_t count, std::int32_t y,
+                         std::int32_t x0, std::int32_t x_step,
+                         std::int32_t count, std::int32_t y,
                          const std::int32_t* labels, Sigma* sigmas) {
   constexpr std::int32_t kL = B::kLanesI32;
   const double yd = static_cast<double>(y);
@@ -327,9 +333,13 @@ void accumulate_row_impl(const float* L, const float* a, const float* b,
     s.L = sl;
     s.a = sa;
     s.b = sb;
+    // Arithmetic series first, first + x_step, ..., last. The product
+    // (first + last) * len is even (len is, or else len - 1 is and so is
+    // first + last), so the halving is exact.
+    const std::int64_t step = x_step;
     const std::int64_t len = j - i;
-    const std::int64_t first = x0 + i;
-    const std::int64_t last = x0 + j - 1;
+    const std::int64_t first = x0 + step * i;
+    const std::int64_t last = first + step * (len - 1);
     s.x += static_cast<double>((first + last) * len / 2);
     s.y += yd * static_cast<double>(len);
     s.count += static_cast<std::uint64_t>(len);

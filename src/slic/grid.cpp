@@ -30,6 +30,13 @@ int CenterGrid::cell_y(int y) const {
   return std::min(gy, ny_ - 1);
 }
 
+int CenterGrid::cell_x_begin(int gx) const {
+  SSLIC_DCHECK(gx >= 0 && gx <= nx_);
+  // Smallest x with x * nx >= gx * width, i.e. ceil(gx * width / nx).
+  return static_cast<int>(
+      (static_cast<std::int64_t>(gx) * width_ + nx_ - 1) / nx_);
+}
+
 std::int32_t CenterGrid::center_index(int gx, int gy) const {
   SSLIC_DCHECK(gx >= 0 && gx < nx_ && gy >= 0 && gy < ny_);
   return static_cast<std::int32_t>(gy) * nx_ + gx;

@@ -35,6 +35,10 @@ class CenterGrid {
   [[nodiscard]] int cell_x(int x) const;
   [[nodiscard]] int cell_y(int y) const;
 
+  /// First column of grid column gx: cell_x(x) == gx exactly for x in
+  /// [cell_x_begin(gx), cell_x_begin(gx + 1)); gx == nx() gives width().
+  [[nodiscard]] int cell_x_begin(int gx) const;
+
   /// Flat center index of grid cell (gx, gy).
   [[nodiscard]] std::int32_t center_index(int gx, int gy) const;
 

@@ -1,7 +1,7 @@
 // Reusable per-run working state of the SLIC segmenters.
 //
 // Every buffer a segmentation run needs — the min-distance plane, planar
-// channel splits, per-band sigma pools, subset masks, connectivity
+// channel splits, per-band sigma pools, subset-major labels, connectivity
 // worklists — lives here instead of on the stack of segment_lab(), so a
 // caller that keeps one IterationScratch across frames (TemporalSlic, the
 // video pipeline, the fused-iteration bench) pays the allocations once and
@@ -42,13 +42,15 @@ struct ScanWindow {
 /// Working buffers of one segmentation run; see the header comment.
 struct IterationScratch {
   // --- Shared by CPA and PPA ---
-  std::vector<double> min_dist;  ///< running minimum-distance plane
-  std::vector<Sigma> sigmas;     ///< merged sigma registers (K entries)
-  LabPlanes planes;              ///< planar split feeding the row kernels
+  std::vector<Sigma> sigmas;  ///< merged sigma registers (K entries)
+  /// Planar split feeding the row kernels: row-major for CPA, subset-major
+  /// with the schedule's stride for PPA (image/planar.h).
+  LabPlanes planes;
   Image<float> gradient;         ///< center-perturbation pass (seed_centers)
   ConnectivityScratch connectivity;
 
   // --- CPA (slic_baseline.cpp) ---
+  std::vector<double> min_dist;      ///< running minimum-distance plane
   std::vector<std::uint8_t> active;  ///< per-center subset activity flags
   std::vector<ScanWindow> windows;   ///< clamped scan windows, K entries
   /// Fused iteration: one sigma pool per row band, merged in ascending
@@ -58,8 +60,8 @@ struct IterationScratch {
 
   // --- PPA (subsampled.cpp) ---
   LabImage stored;  ///< quantized image copy (data widths below float only)
-  std::vector<std::uint8_t> row_active;  ///< per-row subset mask
-  std::vector<std::uint8_t> frozen;      ///< preemptive: converged centers
+  LabelImage subset_labels;  ///< labels in subset-major order, per iteration
+  std::vector<std::uint8_t> frozen;  ///< preemptive: converged centers
   std::vector<std::uint8_t> calm_streak;
   std::vector<std::uint8_t> tile_skipped;
   /// Static 9-candidate map, cached per (width, height, K) geometry.

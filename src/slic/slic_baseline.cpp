@@ -269,8 +269,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
           const std::size_t off =
               static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
           kt.accumulate_row(planes.L.data() + off, planes.a.data() + off,
-                            planes.b.data() + off, 0, w, y, labels_ptr + off,
-                            pool.data());
+                            planes.b.data() + off, 0, 1, w, y,
+                            labels_ptr + off, pool.data());
         }
       };
       ThreadPool& pool = ThreadPool::global();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -91,7 +90,6 @@ void PpaSlic::segment_impl(const LabImage& lab,
   SSLIC_PERF_SCOPE("ppa.segment");
   const int w = lab.width();
   const int h = lab.height();
-  const std::size_t n = lab.size();
 
   Instrumentation local_instr;
   Instrumentation& instr = instrumentation != nullptr ? *instrumentation : local_instr;
@@ -139,20 +137,19 @@ void PpaSlic::segment_impl(const LabImage& lab,
 
   const std::vector<CandidateList>& candidates = scratch.candidate_map(grid);
 
-  // Running minimum-distance buffer (Fig. 1b keeps one in the software
-  // formulation; the accelerator holds the running minimum in registers).
-  std::vector<double>& min_dist = scratch.min_dist;
-  min_dist.assign(n, std::numeric_limits<double>::infinity());
-
-  // Planar split of the (quantized) stored image feeds the vectorized
-  // candidate kernel; the subset mask is materialized per row. Kernel
-  // dispatch is resolved once, outside the tile loops.
-  split_lab_planes(stored, scratch.planes);
+  // Subset-major working state (DESIGN.md "Subset-major PPA iterations"):
+  // the planes and the labels store each row's stride phases one after
+  // another, so the active pixels of any row segment are one contiguous
+  // run and the loop below touches nothing else. Kernel dispatch is
+  // resolved once, outside the tile loops.
+  const int stride = schedule.stride();
+  const SubsetMajorRow layout{w, stride};
+  split_lab_planes(stored, scratch.planes, stride);
   const LabPlanes& planes = scratch.planes;
+  to_subset_major(result.labels, stride, scratch.subset_labels);
+  std::int32_t* const labels_sm = scratch.subset_labels.data();
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();
-  std::vector<std::uint8_t>& row_active = scratch.row_active;
-  row_active.assign(static_cast<std::size_t>(w), 0);
 
   std::vector<Sigma>& sigmas = scratch.sigmas;
   sigmas.assign(num_centers_z, Sigma{});
@@ -164,6 +161,55 @@ void PpaSlic::segment_impl(const LabImage& lab,
   std::vector<std::uint8_t>& tile_skipped = scratch.tile_skipped;
   tile_skipped.assign(num_centers_z, 0);
   if (phases != nullptr) phases->add(CpaSlic::kPhaseOther, init_watch.elapsed_ms());
+
+  // The active pixels of row y within columns [x0, x1) at one iteration:
+  // first column, length, and subset-major offset of the run.
+  struct ActiveRun {
+    int x = 0;
+    std::int32_t count = 0;
+    std::size_t offset = 0;
+  };
+  const auto active_run = [&](int y, int phase, int x0, int x1) {
+    ActiveRun run;
+    run.x = x0 + ((phase - x0) % stride + stride) % stride;
+    if (run.x >= x1) return run;
+    run.count = (x1 - 1 - run.x) / stride + 1;
+    run.offset = static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+                 static_cast<std::size_t>(layout.position(run.x));
+    return run;
+  };
+  // Adds the active subset's pixels of rows [ya, yb) into the sigmas in
+  // row-major order — the order of the per-pixel Sigma::add loop, so sums
+  // are bit-equal to it — skipping the grid cells whose tiles the
+  // preemptive extension skipped this iteration. Returns the pixel count.
+  const auto accumulate_rows = [&](int iter, int ya, int yb) {
+    std::uint64_t added = 0;
+    const auto add_run = [&](int y, const ActiveRun& run) {
+      if (run.count == 0) return;
+      kt.accumulate_row(planes.L.data() + run.offset,
+                        planes.a.data() + run.offset,
+                        planes.b.data() + run.offset, run.x, stride, run.count,
+                        y, labels_sm + run.offset, sigmas.data());
+      added += static_cast<std::uint64_t>(run.count);
+    };
+    for (int y = ya; y < yb; ++y) {
+      const int phase = schedule.row_phase(y, iter);
+      if (phase < 0) continue;
+      if (!params_.preemptive) {
+        add_run(y, active_run(y, phase, 0, w));
+        continue;
+      }
+      const int cell_gy = grid.cell_y(y);
+      for (int gx = 0; gx < grid.nx(); ++gx) {
+        if (tile_skipped[static_cast<std::size_t>(
+                grid.center_index(gx, cell_gy))] != 0)
+          continue;
+        add_run(y, active_run(y, phase, grid.cell_x_begin(gx),
+                              grid.cell_x_begin(gx + 1)));
+      }
+    }
+    return added;
+  };
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     SSLIC_TRACE_SCOPE("ppa.iter", iter);
@@ -217,33 +263,19 @@ void PpaSlic::segment_impl(const LabImage& lab,
               result.centers[static_cast<std::size_t>(cand[k])];
           cand_ops[k] = {cc.L, cc.a, cc.b, cc.x, cc.y, cand[k]};
         }
-        const std::int32_t count = x1 - x0;
-        std::int32_t* labels_ptr = result.labels.pixels().data();
-        const bool all_active = schedule.count() == 1;
         for (int y = y0; y < y1; ++y) {
-          const std::size_t off =
-              static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-              static_cast<std::size_t>(x0);
-          std::uint64_t visited = static_cast<std::uint64_t>(count);
-          const std::uint8_t* mask = nullptr;
-          if (!all_active) {
-            visited = 0;
-            for (int x = x0; x < x1; ++x) {
-              const bool is_active = schedule.active(x, y, iter);
-              row_active[static_cast<std::size_t>(x - x0)] =
-                  is_active ? std::uint8_t{1} : std::uint8_t{0};
-              visited += is_active ? 1 : 0;
-            }
-            if (visited == 0) continue;
-            mask = row_active.data();
-          }
+          const int phase = schedule.row_phase(y, iter);
+          if (phase < 0) continue;
+          const ActiveRun run = active_run(y, phase, x0, x1);
+          if (run.count == 0) continue;
           SSLIC_TRACE_SCOPE_AT(2, "ppa.kernel.row", y);
           kt.assign_candidates_row(
-              planes.L.data() + off, planes.a.data() + off,
-              planes.b.data() + off, x0, count, static_cast<double>(y),
-              cand_ops.data(), static_cast<std::int32_t>(cand.size()),
-              spatial_weight, mask, min_dist.data() + off, labels_ptr + off);
-          stats.pixels_visited += visited;
+              planes.L.data() + run.offset, planes.a.data() + run.offset,
+              planes.b.data() + run.offset, run.x, stride, run.count,
+              static_cast<double>(y), cand_ops.data(),
+              static_cast<std::int32_t>(cand.size()), spatial_weight, nullptr,
+              labels_sm + run.offset);
+          stats.pixels_visited += static_cast<std::uint64_t>(run.count);
         }
         // Software-prototype DRAM convention (see instrumentation.h): per
         // visited pixel Lab(12)+candidates(18)+label r/w(8)+min-dist r/w(8).
@@ -254,42 +286,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
       // --- Fused stripe accumulation over rows [y0, y1). ---
       if (fused) {
         SSLIC_TRACE_SCOPE_AT(1, "ppa.fused_accumulate", gy);
-        const std::int32_t* labels_ptr = result.labels.pixels().data();
-        const bool all_active = schedule.count() == 1;
-        if (all_active && !params_.preemptive) {
-          // Every pixel contributes: whole rows through the SIMD scatter
-          // kernel (bit-equal to the scalar loop; see assign_kernels.h).
-          for (int y = y0; y < y1; ++y) {
-            const std::size_t off =
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-            kt.accumulate_row(planes.L.data() + off, planes.a.data() + off,
-                              planes.b.data() + off, 0, w, y,
-                              labels_ptr + off, sigmas.data());
-          }
-          accumulated +=
-              static_cast<std::uint64_t>(y1 - y0) * static_cast<std::uint64_t>(w);
-        } else {
-          // Masked path: identical skip conditions to the two-pass update
-          // loop (inactive subset members; tiles the preemptive extension
-          // skipped this iteration).
-          for (int y = y0; y < y1; ++y) {
-            const int cell_gy = grid.cell_y(y);
-            for (int x = 0; x < w; ++x) {
-              if (!schedule.active(x, y, iter)) continue;
-              if (params_.preemptive &&
-                  tile_skipped[static_cast<std::size_t>(
-                      grid.center_index(grid.cell_x(x), cell_gy))] != 0) {
-                continue;
-              }
-              const std::size_t flat =
-                  static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-                  static_cast<std::size_t>(x);
-              sigmas[static_cast<std::size_t>(labels_ptr[flat])].add(
-                  stored.pixels()[flat], x, y);
-              accumulated += 1;
-            }
-          }
-        }
+        accumulated += accumulate_rows(iter, y0, y1);
       }
     }
     // Hoisted out of the inner loop: every visited pixel scans exactly the
@@ -320,23 +317,7 @@ void PpaSlic::segment_impl(const LabImage& lab,
     trace::Interval update_span;
     if (!fused) {
       for (auto& s : sigmas) s.clear();
-      for (int y = 0; y < h; ++y) {
-        const int gy = grid.cell_y(y);
-        for (int x = 0; x < w; ++x) {
-          if (!schedule.active(x, y, iter)) continue;
-          if (params_.preemptive &&
-              tile_skipped[static_cast<std::size_t>(
-                  grid.center_index(grid.cell_x(x), gy))] != 0) {
-            continue;
-          }
-          const std::size_t flat =
-              static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-              static_cast<std::size_t>(x);
-          sigmas[static_cast<std::size_t>(result.labels.pixels()[flat])].add(
-              stored.pixels()[flat], x, y);
-          accumulated += 1;
-        }
-      }
+      accumulated += accumulate_rows(iter, 0, h);
     }
     instr.ops.accumulate_ops += 6 * accumulated;
     double movement_sum = 0.0;
@@ -379,7 +360,10 @@ void PpaSlic::segment_impl(const LabImage& lab,
     stats.elapsed_ms = iter_watch.elapsed_ms();
     result.trace.push_back(stats);
 
-    if (callback) callback(stats, result.labels, result.centers);
+    if (callback) {
+      from_subset_major(scratch.subset_labels, stride, result.labels);
+      callback(stats, result.labels, result.centers);
+    }
 
     if (params_.convergence_threshold > 0.0 &&
         stats.center_movement < params_.convergence_threshold &&
@@ -387,6 +371,9 @@ void PpaSlic::segment_impl(const LabImage& lab,
       break;
     }
   }
+
+  // A callback run restored the natural order after the last iteration.
+  if (!callback) from_subset_major(scratch.subset_labels, stride, result.labels);
 
   if (params_.enforce_connectivity) {
     Stopwatch conn_watch;

@@ -13,6 +13,8 @@
 // other counts fall back to diagonal striping.
 #pragma once
 
+#include <cstdint>
+
 #include "common/check.h"
 
 namespace sslic {
@@ -69,6 +71,47 @@ class SubsetSchedule {
   /// visited round-robin).
   [[nodiscard]] bool active(int x, int y, int iteration) const {
     return subset_of(x, y) == iteration % count_;
+  }
+
+  /// Column stride of every pattern's active set within a row: the active
+  /// pixels of row y at any iteration are x = row_phase(y, iteration) +
+  /// k * stride() for k = 0, 1, ... — one arithmetic progression (2 for
+  /// checkerboard and Bayer, `count` for diagonal, 1 for rows and all).
+  [[nodiscard]] int stride() const {
+    switch (pattern_) {
+      case Pattern::kCheckerboard:
+      case Pattern::kBayer2x2:
+        return 2;
+      case Pattern::kDiagonal:
+        return count_;
+      case Pattern::kAll:
+      case Pattern::kRows:
+        return 1;
+    }
+    return 1;
+  }
+
+  /// First active column of row y at iteration `iteration` on an unbounded
+  /// lattice, in [0, stride()); -1 when no pixel of the row is active. On a
+  /// raster narrower than the phase the row has no active pixel either.
+  [[nodiscard]] int row_phase(int y, int iteration) const {
+    const int sub = active_subset(iteration);
+    switch (pattern_) {
+      case Pattern::kAll:
+        return 0;
+      case Pattern::kCheckerboard:
+        return (sub ^ y) & 1;
+      case Pattern::kBayer2x2:
+        return (sub >> 1) == (y & 1) ? (sub & 1) : -1;
+      case Pattern::kDiagonal:
+        // x + 2y == sub (mod count)  <=>  x == sub - 2y (mod count).
+        return static_cast<int>(
+            ((sub - 2 * static_cast<std::int64_t>(y)) % count_ + count_) %
+            count_);
+      case Pattern::kRows:
+        return y % count_ == sub ? 0 : -1;
+    }
+    return -1;
   }
 
   /// The subset visited at iteration `iteration`.

@@ -152,9 +152,9 @@ struct Window {
   }
 };
 
-/// Per-tile working buffers (min-dist scratch + subset-mask row), recycled
-/// through a freelist so a steady-state run allocates per distinct tile
-/// shape, not per tile visit.
+/// Per-tile working buffers (CPA min-dist scratch, PPA subset-mask row),
+/// recycled through a freelist so a steady-state run allocates per distinct
+/// tile shape, not per tile visit.
 struct TileScratch {
   std::vector<double> min_dist;
   std::vector<std::uint8_t> mask;
@@ -649,7 +649,7 @@ void TiledRun::run_cpa(Segmentation& result) {
       int released = static_cast<int>(blo);
       for (int y = static_cast<int>(blo); y < static_cast<int>(bhi); ++y) {
         const std::size_t off = flat(0, y);
-        kt_.accumulate_row(pl_ + off, pa_ + off, pb_ + off, 0, w_, y,
+        kt_.accumulate_row(pl_ + off, pa_ + off, pb_ + off, 0, 1, w_, y,
                            labels_ + off, band_pool.data());
         if (store_.disk_backed() && y + 1 - released >= kReleaseStride) {
           store_.release_rows(released, y + 1);
@@ -794,12 +794,7 @@ void TiledRun::run_ppa(Segmentation& result) {
       const int ry1 = geo_.y1(ty);
       SSLIC_TRACE_SCOPE_AT(1, "tiled.assign.tile", static_cast<std::int64_t>(t));
       TileScratch scratch = scratch_pool.acquire();
-      const int md_stride = rx1 - rx0;
-      // Write-only running-min rows (the PPA kernel never reads them), so
-      // no infinity fill is needed.
-      scratch.min_dist.resize(static_cast<std::size_t>(md_stride) *
-                              static_cast<std::size_t>(ry1 - ry0));
-      scratch.mask.resize(static_cast<std::size_t>(md_stride));
+      scratch.mask.resize(static_cast<std::size_t>(rx1 - rx0));
       std::uint64_t visited_total = 0;
       std::array<kernels::CenterOperand, 9> cand_ops;
 
@@ -845,15 +840,11 @@ void TiledRun::run_ppa(Segmentation& result) {
               mask = scratch.mask.data();
             }
             SSLIC_TRACE_SCOPE_AT(2, "tiled.kernel.row", y);
-            double* md_row = scratch.min_dist.data() +
-                             static_cast<std::size_t>(y - ry0) *
-                                 static_cast<std::size_t>(md_stride) +
-                             static_cast<std::size_t>(sx0 - rx0);
             kt_.assign_candidates_row(
-                pl_ + off, pa_ + off, pb_ + off, sx0, count,
+                pl_ + off, pa_ + off, pb_ + off, sx0, 1, count,
                 static_cast<double>(y), cand_ops.data(),
                 static_cast<std::int32_t>(cand.size()), spatial_weight_, mask,
-                md_row, labels_ + off);
+                labels_ + off);
             visited_total += visited;
           }
         }

@@ -260,6 +260,36 @@ TEST(StreamEngine, SteadyStateFramesAreAllocationFree) {
   }
 }
 
+TEST(StreamEngine, FirstMultiStreamBatchIsAllocationFree) {
+  // Warm-up frames that reach the scheduler one stream at a time form
+  // batches of one; the first frame pair that lands in one batch must not
+  // grow the per-batch bookkeeping (the scheduling order the steady-state
+  // test above can hit under CPU load, forced here with pause()).
+  StreamEngine engine;
+  StreamOptions opts;
+  opts.params = small_params(120, 8, 0.5);
+  const StreamId a = engine.open_stream(opts);
+  const StreamId b = engine.open_stream(opts);
+  const std::vector<RgbImage> frames_a = synthetic_frames(3, 160, 120, 700);
+  const std::vector<RgbImage> frames_b = synthetic_frames(3, 160, 120, 800);
+
+  for (std::size_t f = 0; f < 2; ++f) {
+    ASSERT_EQ(engine.wait(engine.submit(a, frames_a[f]).ticket),
+              WaitStatus::kCompleted);
+    ASSERT_EQ(engine.wait(engine.submit(b, frames_b[f]).ticket),
+              WaitStatus::kCompleted);
+  }
+  const std::uint64_t allocs = alloc_counter::count_allocations([&] {
+    engine.pause();
+    const auto ta = engine.submit(a, frames_a[2]);
+    const auto tb = engine.submit(b, frames_b[2]);
+    engine.resume();
+    ASSERT_EQ(engine.wait(ta.ticket), WaitStatus::kCompleted);
+    ASSERT_EQ(engine.wait(tb.ticket), WaitStatus::kCompleted);
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(StreamEngine, ShedPolicyRejectsWhenFull) {
   StreamEngine engine;
   StreamOptions opts;

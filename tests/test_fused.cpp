@@ -236,9 +236,9 @@ TEST(AccumulateRowKernel, VectorBackendsBitEqualScalar) {
         labels[i] = static_cast<std::int32_t>(rng.next_below(5));
       }
       std::vector<Sigma> want(5), got(5);
-      scalar.accumulate_row(L.data(), a.data(), b.data(), 3, width, 11,
+      scalar.accumulate_row(L.data(), a.data(), b.data(), 3, 1, width, 11,
                             labels.data(), want.data());
-      vec.accumulate_row(L.data(), a.data(), b.data(), 3, width, 11,
+      vec.accumulate_row(L.data(), a.data(), b.data(), 3, 1, width, 11,
                          labels.data(), got.data());
       EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                                want.size() * sizeof(Sigma)))

@@ -12,6 +12,7 @@
 #include "image/gradient.h"
 #include "image/image.h"
 #include "image/io.h"
+#include "image/planar.h"
 #include "image/stream_io.h"
 
 namespace sslic {
@@ -52,6 +53,63 @@ TEST(Image, FillOverwrites) {
 }
 
 // ----------------------------------------------------------------- PPM I/O
+
+TEST(SubsetMajor, RowLayoutPlacesEachPhaseContiguously) {
+  for (const int stride : {1, 2, 3, 5}) {
+    for (const int width : {1, 2, 4, 7, 10, 11}) {
+      const SubsetMajorRow layout{width, stride};
+      std::vector<int> seen(static_cast<std::size_t>(width), 0);
+      for (int x = 0; x < width; ++x) {
+        const int pos = layout.position(x);
+        ASSERT_GE(pos, 0);
+        ASSERT_LT(pos, width);
+        seen[static_cast<std::size_t>(pos)] += 1;
+        // Column x + stride follows x in the same phase's run.
+        if (x + stride < width) {
+          EXPECT_EQ(layout.position(x + stride), pos + 1);
+        }
+      }
+      for (const int hits : seen) EXPECT_EQ(hits, 1);  // a permutation
+      int total = 0;
+      for (int p = 0; p < stride; ++p) {
+        EXPECT_EQ(layout.offset(p), total);
+        total += layout.columns(p);
+      }
+      EXPECT_EQ(total, width);
+    }
+  }
+}
+
+TEST(SubsetMajor, SplitAndLabelPermutationsRoundTrip) {
+  LabImage lab(13, 4);
+  LabelImage labels(13, 4);
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 13; ++x) {
+      lab(x, y) = {static_cast<float>(x), static_cast<float>(y),
+                   0.5f * static_cast<float>(x)};
+      labels(x, y) = 100 * y + x;
+    }
+  }
+  for (const int stride : {1, 2, 3, 5}) {
+    const SubsetMajorRow layout{13, stride};
+    LabPlanes planes;
+    split_lab_planes(lab, planes, stride);
+    LabelImage permuted;
+    to_subset_major(labels, stride, permuted);
+    for (int y = 0; y < 4; ++y) {
+      for (int x = 0; x < 13; ++x) {
+        const int pos = layout.position(x);
+        EXPECT_EQ(planes.L(pos, y), lab(x, y).L);
+        EXPECT_EQ(planes.a(pos, y), lab(x, y).a);
+        EXPECT_EQ(planes.b(pos, y), lab(x, y).b);
+        EXPECT_EQ(permuted(pos, y), labels(x, y));
+      }
+    }
+    LabelImage restored(13, 4, -1);
+    from_subset_major(permuted, stride, restored);
+    EXPECT_EQ(restored, labels) << "stride=" << stride;
+  }
+}
 
 TEST(PpmIo, RoundTripBinary) {
   RgbImage img(5, 4);

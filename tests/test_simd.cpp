@@ -20,6 +20,7 @@
 #include "common/telemetry.h"
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
+#include "slic/center_update.h"
 #include "slic/hw_datapath.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
@@ -262,9 +263,8 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
     const std::uint8_t* ref_mask =
         mask_mode == 0 ? nullptr : ref.active.data() + offset;
     scalar.assign_candidates_row(ref.L.data() + offset, ref.a.data() + offset,
-                                 ref.b.data() + offset, x0, count, y,
+                                 ref.b.data() + offset, x0, 1, count, y,
                                  cands.data(), ncand, weight, ref_mask,
-                                 ref.min_dist.data() + offset,
                                  ref.labels.data() + offset);
     for (const simd::Isa isa : isas) {
       FloatRows got = base;
@@ -274,16 +274,123 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
           mask_mode == 0 ? nullptr : got.active.data() + offset;
       kernels::table_for(isa).assign_candidates_row(
           got.L.data() + offset, got.a.data() + offset, got.b.data() + offset,
-          x0, count, y, cands.data(), ncand, weight, got_mask,
-          got.min_dist.data() + offset, got.labels.data() + offset);
-      ASSERT_EQ(std::memcmp(got.min_dist.data(), ref.min_dist.data(),
-                            ref.min_dist.size() * sizeof(double)),
-                0)
-          << "min_dist diverged, isa=" << simd::isa_name(isa)
-          << " trial=" << trial << " mask_mode=" << mask_mode;
+          x0, 1, count, y, cands.data(), ncand, weight, got_mask,
+          got.labels.data() + offset);
       ASSERT_EQ(got.labels, ref.labels)
           << "labels diverged, isa=" << simd::isa_name(isa)
           << " trial=" << trial << " mask_mode=" << mask_mode;
+    }
+  }
+}
+
+TEST(SimdKernels, StridedCandidatesAndAccumulateMatchScalarExactly) {
+  // Subset-major runs (PpaSlic) feed the kernels pixels x_step columns
+  // apart. Every backend must reproduce the scalar labels and sigma bytes
+  // for every stride the schedules use, every run length from empty through
+  // several vector blocks plus tails, and misaligned run starts.
+  const std::vector<simd::Isa> isas = testable_vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector backend compiled for this CPU";
+  const kernels::KernelTable& scalar = kernels::scalar_table();
+
+  Rng rng(0x5717de);
+  for (const std::int32_t x_step : {1, 2, 3, 5}) {
+    for (std::int32_t count = 0; count <= 24; ++count) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const auto offset = static_cast<std::size_t>(rng.next_int(0, 7));
+        const std::int32_t x0 = rng.next_int(0, 300);
+        const std::int32_t y = rng.next_int(0, 300);
+        const double weight = rng.next_double(0.001, 2.0);
+        const std::int32_t ncand = rng.next_int(1, 9);
+        std::array<kernels::CenterOperand, 9> cands;
+        for (std::int32_t k = 0; k < ncand; ++k)
+          cands[static_cast<std::size_t>(k)] = random_center(rng, 400, k * 7);
+        const FloatRows base =
+            make_float_rows(rng, offset + static_cast<std::size_t>(count));
+        // A null mask (PpaSlic) or a random subset mask.
+        const bool masked = rng.next_bool(0.5);
+
+        FloatRows ref = base;
+        scalar.assign_candidates_row(
+            ref.L.data() + offset, ref.a.data() + offset,
+            ref.b.data() + offset, x0, x_step, count, static_cast<double>(y),
+            cands.data(), ncand, weight,
+            masked ? ref.active.data() + offset : nullptr,
+            ref.labels.data() + offset);
+        // Few distinct labels, so the accumulator sees multi-pixel runs.
+        std::vector<std::int32_t> acc_labels(base.labels.size());
+        for (auto& label : acc_labels) label = rng.next_int(0, 3);
+        std::vector<Sigma> ref_sigmas(4);
+        scalar.accumulate_row(base.L.data() + offset, base.a.data() + offset,
+                              base.b.data() + offset, x0, x_step, count, y,
+                              acc_labels.data() + offset, ref_sigmas.data());
+
+        // The per-pixel reference: Sigma::add at x = x0 + x_step * i.
+        std::vector<Sigma> naive(4);
+        for (std::int32_t i = 0; i < count; ++i) {
+          const auto at = offset + static_cast<std::size_t>(i);
+          naive[static_cast<std::size_t>(acc_labels[at])].add(
+              LabF{base.L[at], base.a[at], base.b[at]}, x0 + x_step * i, y);
+        }
+        ASSERT_EQ(std::memcmp(naive.data(), ref_sigmas.data(),
+                              naive.size() * sizeof(Sigma)),
+                  0)
+            << "scalar accumulate vs Sigma::add, x_step=" << x_step
+            << " count=" << count;
+
+        for (const simd::Isa isa : isas) {
+          const kernels::KernelTable& vec = kernels::table_for(isa);
+          FloatRows got = base;
+          vec.assign_candidates_row(
+              got.L.data() + offset, got.a.data() + offset,
+              got.b.data() + offset, x0, x_step, count,
+              static_cast<double>(y), cands.data(), ncand, weight,
+              masked ? got.active.data() + offset : nullptr,
+              got.labels.data() + offset);
+          ASSERT_EQ(got.labels, ref.labels)
+              << "labels diverged, isa=" << simd::isa_name(isa)
+              << " x_step=" << x_step << " count=" << count
+              << " offset=" << offset;
+          std::vector<Sigma> sigmas(4);
+          vec.accumulate_row(base.L.data() + offset, base.a.data() + offset,
+                             base.b.data() + offset, x0, x_step, count, y,
+                             acc_labels.data() + offset, sigmas.data());
+          ASSERT_EQ(std::memcmp(sigmas.data(), ref_sigmas.data(),
+                                sigmas.size() * sizeof(Sigma)),
+                    0)
+              << "sigmas diverged, isa=" << simd::isa_name(isa)
+              << " x_step=" << x_step << " count=" << count
+              << " offset=" << offset;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, StridedCandidatesRowEqualsNaturalRowAtSameColumns) {
+  // A run of pixels x_step apart must label each pixel exactly as the
+  // natural (x_step 1) kernel does when called on that single column:
+  // the distance of pixel (x, y) depends on x only through its exact
+  // double value.
+  const kernels::KernelTable& scalar = kernels::scalar_table();
+  Rng rng(0x1dea);
+  for (const std::int32_t x_step : {2, 3, 5}) {
+    const std::int32_t count = 19;
+    const std::int32_t x0 = 4;
+    std::array<kernels::CenterOperand, 9> cands;
+    for (std::int32_t k = 0; k < 9; ++k)
+      cands[static_cast<std::size_t>(k)] = random_center(rng, 100, k);
+    const FloatRows rows = make_float_rows(rng, static_cast<std::size_t>(count));
+    std::vector<std::int32_t> strided(static_cast<std::size_t>(count), -1);
+    scalar.assign_candidates_row(rows.L.data(), rows.a.data(), rows.b.data(),
+                                 x0, x_step, count, 7.0, cands.data(), 9, 0.3,
+                                 nullptr, strided.data());
+    for (std::int32_t i = 0; i < count; ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      std::int32_t single = -1;
+      scalar.assign_candidates_row(&rows.L[at], &rows.a[at], &rows.b[at],
+                                   x0 + x_step * i, 1, 1, 7.0, cands.data(),
+                                   9, 0.3, nullptr, &single);
+      EXPECT_EQ(strided[at], single) << "x_step=" << x_step << " i=" << i;
     }
   }
 }

@@ -5,15 +5,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "common/simd.h"
 #include "dataset/synthetic.h"
 #include "slic/grid.h"
 #include "metrics/segmentation_metrics.h"
 #include "slic/subset_schedule.h"
+#include "slic/assign_kernels.h"
 #include "slic/connectivity.h"
+#include "slic/fusion.h"
 #include "slic/segmenter.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
@@ -470,6 +477,204 @@ TEST(Segmenter, LabEntryPointMatchesRgbEntryPoint) {
   const Segmentation a = run_segmenter(Algorithm::kSslicPpa, p, gt.image);
   const Segmentation b = run_segmenter_lab(Algorithm::kSslicPpa, p, lab);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+// ------------------------------------------------------------ pinned goldens
+
+// 64-bit FNV-1a over raw bytes.
+std::uint64_t fnv1a(const void* data, std::size_t size) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PpaGolden {
+  const char* name;
+  std::uint64_t labels;
+  std::uint64_t centers;
+};
+
+// Label and center-bit hashes of PpaSlic over the schedule x preemptive x
+// cold/warm x geometry matrix below. They pin the exact bytes every
+// subset pattern produces, so any change to how the iteration loop visits,
+// assigns or accumulates the active subset must reproduce them on every
+// ISA and with fusion on and off.
+constexpr PpaGolden kPpaGoldens[] = {
+    {"odd123x77/checker0.5/plain/cold", 0x4a5990bd84993c71ULL, 0x17a132bf544c7590ULL},
+    {"odd123x77/checker0.5/plain/warm", 0x9342f375f178226dULL, 0xe2bf0d7b995296d0ULL},
+    {"odd123x77/checker0.5/pre/cold", 0x391aeb8fc468a4d9ULL, 0x8d6d9f183152cee0ULL},
+    {"odd123x77/checker0.5/pre/warm", 0x3f0e670fdedcd55fULL, 0xa1081d02c1508976ULL},
+    {"odd123x77/bayer0.25/plain/cold", 0x9fd4176cf6c62110ULL, 0xb369a2e0502ea5adULL},
+    {"odd123x77/bayer0.25/plain/warm", 0x4b186c094f1eaf94ULL, 0x9aa278a9d7495c46ULL},
+    {"odd123x77/bayer0.25/pre/cold", 0xb124f5e8521c4918ULL, 0xed6c32c9900ecad4ULL},
+    {"odd123x77/bayer0.25/pre/warm", 0x082aa7ffc85a4410ULL, 0xed6629de739c2788ULL},
+    {"odd123x77/diag1/3/plain/cold", 0xc787cc7a91c7f269ULL, 0x6c240da3d9cbee02ULL},
+    {"odd123x77/diag1/3/plain/warm", 0x94784059a3c268e8ULL, 0x6e43c9b18af750edULL},
+    {"odd123x77/diag1/3/pre/cold", 0x6fcb663af9f884a9ULL, 0xee987a7ff60a51d7ULL},
+    {"odd123x77/diag1/3/pre/warm", 0xe1d779cbae73c30cULL, 0x341e6bb63a07eeefULL},
+    {"odd123x77/diag1/5/plain/cold", 0x0509553b8b6b557aULL, 0xc3e83393990c0221ULL},
+    {"odd123x77/diag1/5/plain/warm", 0xcc54cd76bdd71e27ULL, 0xc9629b5d5c2db4a9ULL},
+    {"odd123x77/diag1/5/pre/cold", 0x8a2308e05f5e478dULL, 0x29f84b65aaa94549ULL},
+    {"odd123x77/diag1/5/pre/warm", 0xd2285fb306cf57f0ULL, 0x566e6b5099b7cc43ULL},
+    {"odd123x77/rows0.5/plain/cold", 0x1aac81ebdb7b3f74ULL, 0xb5ac2ff1090a0397ULL},
+    {"odd123x77/rows0.5/plain/warm", 0x0b91e8362e14111bULL, 0x2d3dafb13d7fad33ULL},
+    {"odd123x77/rows0.5/pre/cold", 0xf893e8716a1bea79ULL, 0xd51c23a41b986a59ULL},
+    {"odd123x77/rows0.5/pre/warm", 0x033e616604fa694fULL, 0x1bccf29ccbcbcea7ULL},
+    {"odd123x77/full/plain/cold", 0x82e5defb6dcbbd2bULL, 0x2aa39a0c327ca54fULL},
+    {"odd123x77/full/plain/warm", 0x9c139db418a735a9ULL, 0x481e5be2e323aeb0ULL},
+    {"odd123x77/full/pre/cold", 0x8965ca1a1012fb7aULL, 0xe2e76011438ff2c3ULL},
+    {"odd123x77/full/pre/warm", 0x8415d433895a3c47ULL, 0x8de2978eb649339eULL},
+    {"narrow4x37/checker0.5/plain/cold", 0x7223547661298585ULL, 0xad1c5ca0d6d2c23cULL},
+    {"narrow4x37/checker0.5/plain/warm", 0x091226fe6f8603a4ULL, 0x4c48d9308bfcbafeULL},
+    {"narrow4x37/checker0.5/pre/cold", 0x8eb4c287cb76d785ULL, 0xef742b153d46d123ULL},
+    {"narrow4x37/checker0.5/pre/warm", 0x6673577280f6cb73ULL, 0xada1ed94a5edeb88ULL},
+    {"narrow4x37/bayer0.25/plain/cold", 0xd3dc4333a91739d4ULL, 0xc953dd761946bf55ULL},
+    {"narrow4x37/bayer0.25/plain/warm", 0x970d2f711ca267d4ULL, 0x69b8b320756a8ff8ULL},
+    {"narrow4x37/bayer0.25/pre/cold", 0xd3dc4333a91739d4ULL, 0xc953dd761946bf55ULL},
+    {"narrow4x37/bayer0.25/pre/warm", 0x970d2f711ca267d4ULL, 0x69b8b320756a8ff8ULL},
+    {"narrow4x37/diag1/3/plain/cold", 0x7223547661298585ULL, 0x3477f51cdcb78a01ULL},
+    {"narrow4x37/diag1/3/plain/warm", 0xcadae7c35c2e6747ULL, 0xb9f8a87c429dfa12ULL},
+    {"narrow4x37/diag1/3/pre/cold", 0x3d211c874139ec26ULL, 0xf71c52a08417fecfULL},
+    {"narrow4x37/diag1/3/pre/warm", 0x1a3afa7010019230ULL, 0x299f7f6e8dbbbc32ULL},
+    {"narrow4x37/diag1/5/plain/cold", 0x522ce1e7998c9645ULL, 0x79a6d3c02498a0c7ULL},
+    {"narrow4x37/diag1/5/plain/warm", 0x9feb21e253150754ULL, 0xcd691666e74bcd20ULL},
+    {"narrow4x37/diag1/5/pre/cold", 0xc85b76f18f34b186ULL, 0x049ea59030f7e4daULL},
+    {"narrow4x37/diag1/5/pre/warm", 0x178371488fd2b143ULL, 0x2030d906a711d772ULL},
+    {"narrow4x37/rows0.5/plain/cold", 0xae8ff32fd6a57612ULL, 0xc286eae7f94c7390ULL},
+    {"narrow4x37/rows0.5/plain/warm", 0xf55345ba4a7c9fb7ULL, 0x0a697911bb98448cULL},
+    {"narrow4x37/rows0.5/pre/cold", 0x00616c6e9b7b3130ULL, 0x31c588a8bdcd661bULL},
+    {"narrow4x37/rows0.5/pre/warm", 0x5e7a4ad666ed9c07ULL, 0x173f7ee3b6be6ceaULL},
+    {"narrow4x37/full/plain/cold", 0x8923b9b5718f6305ULL, 0xff86cd09b2ae5950ULL},
+    {"narrow4x37/full/plain/warm", 0x9386f649058c46a3ULL, 0xc0413f7438e69d01ULL},
+    {"narrow4x37/full/pre/cold", 0x4a310f42aea17f46ULL, 0xf118a6bfb6655200ULL},
+    {"narrow4x37/full/pre/warm", 0x8aee84caa14caf04ULL, 0xa1a7cfbc64dae45dULL},
+};
+
+TEST(PpaGolden, PinnedHashesAcrossSchedulesIsasAndFusion) {
+  struct Schedule {
+    const char* name;
+    double ratio;
+    SubsetPattern pattern;
+  };
+  const Schedule schedules[] = {
+      {"checker0.5", 0.5, SubsetPattern::kDithered},
+      {"bayer0.25", 0.25, SubsetPattern::kDithered},
+      {"diag1/3", 1.0 / 3.0, SubsetPattern::kDithered},
+      {"diag1/5", 0.2, SubsetPattern::kDithered},
+      {"rows0.5", 0.5, SubsetPattern::kRowInterleaved},
+      {"full", 1.0, SubsetPattern::kDithered},
+  };
+  struct Geometry {
+    const char* name;
+    int width;
+    int height;
+    int superpixels;
+  };
+  // An odd width whose tile and cell boundaries disagree, and a raster
+  // narrower than the widest subset stride.
+  const Geometry geometries[] = {{"odd123x77", 123, 77, 60},
+                                 {"narrow4x37", 4, 37, 6}};
+
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  for (const simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2,
+                              simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (kernels::backend_compiled(isa) && simd::cpu_supports(isa))
+      isas.push_back(isa);
+  }
+  struct IsaReset {
+    ~IsaReset() { simd::reset_preferred_isa(); }
+  } isa_reset;
+
+  std::string actual;  // printed on mismatch, in table form
+  std::uint64_t tiles_skipped = 0;
+  std::size_t checked = 0;
+  for (const Geometry& g : geometries) {
+    // The generator needs 16x16; narrower rasters are its left columns.
+    SyntheticParams sp;
+    sp.width = std::max(g.width, 16);
+    sp.height = std::max(g.height, 16);
+    sp.min_regions = 2;
+    sp.max_regions = 5;
+    const auto crop = [&](std::uint64_t seed) {
+      const LabImage full = srgb_to_lab(generate_synthetic(sp, seed).image);
+      LabImage lab(g.width, g.height);
+      for (int y = 0; y < g.height; ++y)
+        for (int x = 0; x < g.width; ++x) lab(x, y) = full(x, y);
+      return lab;
+    };
+    const LabImage cold_lab = crop(11);
+    const LabImage warm_lab = crop(12);
+    for (const Schedule& s : schedules) {
+      for (const bool preemptive : {false, true}) {
+        SlicParams p;
+        p.num_superpixels = g.superpixels;
+        p.max_iterations = 12;
+        p.subsample_ratio = s.ratio;
+        p.subset_pattern = s.pattern;
+        p.preemptive = preemptive;
+        p.freeze_threshold = 1.0;
+        const PpaSlic segmenter(p);
+        for (const bool warm : {false, true}) {
+          const std::string name = std::string(g.name) + "/" + s.name +
+                                   (preemptive ? "/pre" : "/plain") +
+                                   (warm ? "/warm" : "/cold");
+          const PpaGolden* golden = nullptr;
+          for (const PpaGolden& entry : kPpaGoldens)
+            if (name == entry.name) golden = &entry;
+          bool first = true;
+          for (const simd::Isa isa : isas) {
+            simd::set_preferred_isa(isa);
+            for (const bool fused : {true, false}) {
+              FusionGuard fusion(fused);
+              Instrumentation instr;
+              Segmentation seg;
+              if (warm) {
+                const std::vector<ClusterCenter> start =
+                    segmenter.segment_lab(cold_lab).centers;
+                seg = segmenter.segment_lab_warm(warm_lab, start, {}, &instr);
+              } else {
+                seg = segmenter.segment_lab(cold_lab, {}, &instr);
+              }
+              tiles_skipped += instr.tiles_skipped;
+              const std::uint64_t lh =
+                  fnv1a(seg.labels.pixels().data(),
+                        seg.labels.pixels().size() * sizeof(std::int32_t));
+              const std::uint64_t ch =
+                  fnv1a(seg.centers.data(),
+                        seg.centers.size() * sizeof(ClusterCenter));
+              if (first) {
+                char line[160];
+                std::snprintf(line, sizeof(line),
+                              "    {\"%s\", 0x%016llxULL, 0x%016llxULL},\n",
+                              name.c_str(),
+                              static_cast<unsigned long long>(lh),
+                              static_cast<unsigned long long>(ch));
+                actual += line;
+                first = false;
+              }
+              const std::string what = name + " isa=" + simd::isa_name(isa) +
+                                       (fused ? " fused" : " two-pass");
+              if (golden == nullptr) {
+                ADD_FAILURE() << "no golden for " << what;
+                continue;
+              }
+              EXPECT_EQ(lh, golden->labels) << what << " labels";
+              EXPECT_EQ(ch, golden->centers) << what << " centers";
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 6u * 2u * 2u * 2u * isas.size());
+  // The preemptive rows are only meaningful if some tiles were skipped.
+  EXPECT_GT(tiles_skipped, 0u);
+  if (HasFailure()) std::printf("actual goldens:\n%s", actual.c_str());
 }
 
 // Parameterized determinism sweep: all algorithms produce identical results

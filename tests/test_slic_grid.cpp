@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -52,6 +53,24 @@ TEST(CenterGrid, CellLookupMonotone) {
   const CenterGrid grid(100, 60, 24);
   for (int x = 1; x < 100; ++x) EXPECT_GE(grid.cell_x(x), grid.cell_x(x - 1));
   for (int y = 1; y < 60; ++y) EXPECT_GE(grid.cell_y(y), grid.cell_y(y - 1));
+}
+
+TEST(CenterGrid, CellColumnBeginsMatchCellLookup) {
+  // cell_x_begin bounds exactly the columns cell_x maps to each grid column,
+  // including widths where the cells and the PPA tiles (gx * w / nx) split
+  // at different columns.
+  for (const auto& [w, h, k] : {std::array<int, 3>{97, 53, 30},
+                                std::array<int, 3>{123, 77, 60},
+                                std::array<int, 3>{4, 37, 6},
+                                std::array<int, 3>{1920, 1080, 5000}}) {
+    const CenterGrid grid(w, h, k);
+    EXPECT_EQ(grid.cell_x_begin(0), 0);
+    EXPECT_EQ(grid.cell_x_begin(grid.nx()), w);
+    for (int gx = 0; gx < grid.nx(); ++gx) {
+      for (int x = grid.cell_x_begin(gx); x < grid.cell_x_begin(gx + 1); ++x)
+        ASSERT_EQ(grid.cell_x(x), gx) << w << "x" << h << " x=" << x;
+    }
+  }
 }
 
 TEST(CenterGrid, CenterPositionsInsideImage) {
@@ -296,6 +315,40 @@ TEST(SubsetScheduleRows, DitheredDefaultUnchanged) {
   const SubsetSchedule schedule(2);
   EXPECT_EQ(schedule.pattern_kind(), SubsetPattern::kDithered);
   EXPECT_NE(schedule.subset_of(0, 0), schedule.subset_of(1, 0));
+}
+
+TEST(SubsetSchedule, RowPhaseAndStrideEnumerateActiveSet) {
+  // For every pattern, the active pixels of each row are exactly the
+  // arithmetic progression row_phase + k * stride — the property the
+  // subset-major PPA layout depends on. Exhaustive over counts, both
+  // pattern requests, a full round of iterations and then some, and a
+  // lattice several strides wide.
+  std::vector<int> counts{1, 2, 3, 4, 5, 6, 7, 8, 64};
+  for (const int count : counts) {
+    for (const SubsetPattern pattern :
+         {SubsetPattern::kDithered, SubsetPattern::kRowInterleaved}) {
+      const SubsetSchedule schedule(count, pattern);
+      const int stride = schedule.stride();
+      ASSERT_GE(stride, 1);
+      ASSERT_LE(stride, count);
+      const int width = 3 * stride + 5;
+      for (int iter = 0; iter <= 2 * count; ++iter) {
+        for (int y = 0; y < 2 * count + 3; ++y) {
+          const int phase = schedule.row_phase(y, iter);
+          ASSERT_GE(phase, -1);
+          ASSERT_LT(phase, stride);
+          for (int x = 0; x < width; ++x) {
+            const bool in_progression =
+                phase >= 0 && x >= phase && (x - phase) % stride == 0;
+            ASSERT_EQ(schedule.active(x, y, iter), in_progression)
+                << "count=" << count << " rows="
+                << (pattern == SubsetPattern::kRowInterleaved) << " iter="
+                << iter << " x=" << x << " y=" << y;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ connectivity

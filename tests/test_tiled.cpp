@@ -91,6 +91,31 @@ std::vector<Variant> variants() {
     v.params.preemptive = true;
     out.push_back(v);
   }
+  // The other subset patterns (stride 2 with skipped rows, stride 3, and
+  // whole rows): the monolithic path runs them subset-major, the tiled
+  // path through the natural-layout mask.
+  {
+    Variant v{"ppa-bayer-0.25", Algorithm::kSslicPpa, {}};
+    v.params.num_superpixels = 80;
+    v.params.max_iterations = 8;
+    v.params.subsample_ratio = 0.25;
+    out.push_back(v);
+  }
+  {
+    Variant v{"ppa-diagonal-1/3", Algorithm::kSslicPpa, {}};
+    v.params.num_superpixels = 80;
+    v.params.max_iterations = 6;
+    v.params.subsample_ratio = 1.0 / 3.0;
+    out.push_back(v);
+  }
+  {
+    Variant v{"ppa-rows-0.5", Algorithm::kSslicPpa, {}};
+    v.params.num_superpixels = 80;
+    v.params.max_iterations = 6;
+    v.params.subsample_ratio = 0.5;
+    v.params.subset_pattern = SubsetPattern::kRowInterleaved;
+    out.push_back(v);
+  }
   return out;
 }
 
