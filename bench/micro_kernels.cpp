@@ -114,9 +114,14 @@ struct KernelRow {
   kernels::CenterOperand center{50.0, 5.0, -3.0, 240.0, 160.0, 7};
   std::array<kernels::CenterOperand, 9> cands{};
   std::array<kernels::HwCenterOperand, 9> hw_cands{};
+  /// The 9 candidates as one cell's 3-column operand table (column 1 of
+  /// every pixel), so assign_candidates_row evaluates all 9 per pixel.
+  std::array<kernels::CenterOperand, 9> cell_ops{};
+  std::vector<std::int32_t> cell_columns;
 
   KernelRow() {
     Rng rng(77);
+    cell_columns.assign(kWidth, 1);
     L.resize(kWidth);
     a.resize(kWidth);
     b.resize(kWidth);
@@ -144,6 +149,8 @@ struct KernelRow {
                        rng.next_int(0, 255), rng.next_int(0, kWidth - 1),
                        rng.next_int(0, 320), k};
     }
+    for (std::size_t k = 0; k < 9; ++k)
+      cell_ops[3 * (k % 3) + k / 3] = cands[k];
   }
 };
 
@@ -176,9 +183,10 @@ void BM_SimdAssignCandidatesRow(benchmark::State& state) {
   const KernelRow& row = kernel_row();
   std::vector<std::int32_t> labels = row.labels;
   for (auto _ : state) {
-    kt.assign_candidates_row(row.L.data(), row.a.data(), row.b.data(), 0, 1,
-                             KernelRow::kWidth, 160.0, row.cands.data(), 9,
-                             0.25, nullptr, labels.data());
+    kt.assign_candidates_row(row.L.data(), row.a.data(), row.b.data(),
+                             row.cell_columns.data(), 0, 1, KernelRow::kWidth,
+                             160.0, row.cell_ops.data(), 3, 0.25, nullptr,
+                             labels.data());
     benchmark::DoNotOptimize(labels.data());
   }
   state.SetLabel(simd::isa_name(isa));

@@ -8,8 +8,9 @@
 //   * assign_center_row       CPA/SLIC: one center's running-min update
 //                             over a row segment of its 2Sx2S window.
 //   * assign_candidates_row   PPA: best-of-9-candidates per pixel over a
-//                             run of pixels spaced x_step apart — a
-//                             subset-major run of the active subset
+//                             run of pixels spaced x_step apart that may
+//                             cross any number of grid cells — a whole
+//                             subset-major row of the active subset
 //                             (PpaSlic), or a natural row segment with an
 //                             optional subset mask (TiledSegmenter).
 //   * assign_candidates_row_u8  The 8-bit integer datapath variant of the
@@ -86,18 +87,26 @@ struct KernelTable {
                             const CenterOperand& center, double spatial_weight,
                             double* min_dist, std::int32_t* labels);
 
-  /// PPA best-of-candidates: for i in [0, count) with active[i] != 0 (a
-  /// null `active` means every pixel), finds the candidate with the
-  /// minimum distance to pixel (x0 + x_step*i, y) (ties keep the earliest
-  /// list slot) and stores the candidate index into labels[i]. Inactive
-  /// pixels are left untouched. `ncand` must be >= 1. The operands of
-  /// element i are L/a/b[i]: a natural row segment uses x_step 1, a
-  /// subset-major run (image/planar.h) the schedule's column stride.
+  /// PPA best-of-9-candidates over a row-wide run (DESIGN.md §4e): for i in
+  /// [0, count) with active[i] != 0 (a null `active` means every pixel),
+  /// finds the candidate with the minimum distance to pixel
+  /// (x0 + x_step*i, y) and stores its index into labels[i]. Inactive
+  /// pixels are left untouched. Pixel i's candidates are those of its grid
+  /// cell: cols[i] is its grid column (non-decreasing in i, < ncols) and
+  /// col_ops[3*g + r] holds grid column g's centers in rows gy-1, gy, gy+1
+  /// (r = 0, 1, 2; clamped like build_candidate_map), so the 9 candidates
+  /// are columns cols[i]-1..cols[i]+1 (clamped) of each row, in that
+  /// dy-major, column-ascending slot order; ties keep the earliest slot.
+  /// Vector blocks run across cell boundaries, and the labels equal a
+  /// per-pixel walk of the pixel's build_candidate_map list bit for bit.
+  /// The operands of element i are L/a/b[i] and cols[i]: a natural row
+  /// segment uses x_step 1, a subset-major run (image/planar.h) the
+  /// schedule's column stride.
   void (*assign_candidates_row)(const float* L, const float* a, const float* b,
-                                std::int32_t x0, std::int32_t x_step,
-                                std::int32_t count, double y,
-                                const CenterOperand* cands, std::int32_t ncand,
-                                double spatial_weight,
+                                const std::int32_t* cols, std::int32_t x0,
+                                std::int32_t x_step, std::int32_t count,
+                                double y, const CenterOperand* col_ops,
+                                std::int32_t ncols, double spatial_weight,
                                 const std::uint8_t* active,
                                 std::int32_t* labels);
 

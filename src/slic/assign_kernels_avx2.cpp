@@ -25,6 +25,10 @@ struct Avx2Backend {
   static VD load_f32(const float* p) {
     return _mm256_cvtps_pd(_mm_loadu_ps(p));
   }
+  static VD load_i32_f64(const std::int32_t* p) {
+    return _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
   static VD loadu_f64(const double* p) { return _mm256_loadu_pd(p); }
   static void storeu_f64(double* p, VD v) { _mm256_storeu_pd(p, v); }
   static VD set1_f64(double v) { return _mm256_set1_pd(v); }

@@ -34,6 +34,10 @@ struct Avx512Backend {
   static VD load_f32(const float* p) {
     return _mm512_cvtps_pd(_mm256_loadu_ps(p));
   }
+  static VD load_i32_f64(const std::int32_t* p) {
+    return _mm512_cvtepi32_pd(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
   static VD loadu_f64(const double* p) { return _mm512_loadu_pd(p); }
   static void storeu_f64(double* p, VD v) { _mm512_storeu_pd(p, v); }
   static VD set1_f64(double v) { return _mm512_set1_pd(v); }

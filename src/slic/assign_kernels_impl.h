@@ -9,7 +9,8 @@
 //   VD / VL / MD            f64 vector, label (i32) vector with kLanesF64
 //                           lanes, f64 comparison mask
 //   VI / MI                 i32 vector with kLanesI32 lanes and its mask
-//   f64 path: load_f32 (widen kLanesF64 floats to doubles), loadu_f64,
+//   f64 path: load_f32 (widen kLanesF64 floats to doubles), load_i32_f64
+//     (widen kLanesF64 int32s to doubles), loadu_f64,
 //     storeu_f64, set1_f64, iota_f64(base) = {base, base+1, ...},
 //     add/sub/mul, cmplt_f64 (strict a < b), select_f64(m, a, b) = m?a:b,
 //     loadu_lab/storeu_lab/set1_lab/select_lab on VL,
@@ -65,6 +66,9 @@ struct ScalarBackend {
   using MI = bool;
 
   static VD load_f32(const float* p) { return static_cast<double>(*p); }
+  static VD load_i32_f64(const std::int32_t* p) {
+    return static_cast<double>(*p);
+  }
   static VD loadu_f64(const double* p) { return *p; }
   static void storeu_f64(double* p, VD v) { *p = v; }
   static VD set1_f64(double v) { return v; }
@@ -162,18 +166,36 @@ void assign_center_row_impl(const float* L, const float* a, const float* b,
   }
 }
 
+// Row-wide PPA assignment (DESIGN.md §4e). Pixel i's 9 candidates are the
+// centers of grid columns cols[i]-1, cols[i], cols[i]+1 (clamped) in rows
+// gy-1, gy, gy+1 — col_ops[3*g + r] — visited dy-major, column-ascending:
+// the order build_candidate_map lists them in. A vector block whose lanes
+// all sit in one column evaluates exactly those candidates (minus the
+// clamped duplicates, which can never win a strict `<` against their equal
+// twin). A block that spans columns g_lo..g_hi walks the union
+// g_lo-1..g_hi+1 in the same dy-major, column-ascending order and adds
+// +0.0 to the distance of each lane's own candidates and +inf to the rest.
+// d + 0.0 == d (d is a sum of squares, never -0.0), and an infinite
+// distance never passes the strict `<`, so each lane sees its own
+// candidates' distances in its own slot order: labels equal a per-pixel
+// walk of the cell's candidate list, ties included. Lanes whose columns
+// spread over more than kL + 2 union columns (cells narrower than the lane
+// spacing) fall back to the per-lane scalar path.
 template <typename B>
 void assign_candidates_row_impl(const float* L, const float* a, const float* b,
-                                std::int32_t x0, std::int32_t x_step,
-                                std::int32_t count, double y,
-                                const CenterOperand* cands, std::int32_t ncand,
-                                double spatial_weight,
+                                const std::int32_t* cols, std::int32_t x0,
+                                std::int32_t x_step, std::int32_t count,
+                                double y, const CenterOperand* col_ops,
+                                std::int32_t ncols, double spatial_weight,
                                 const std::uint8_t* active,
                                 std::int32_t* labels) {
+  using VD = typename B::VD;
   constexpr std::int32_t kL = B::kLanesF64;
+  constexpr std::int32_t kMaxUnion = kL + 2;
   const auto w = B::set1_f64(spatial_weight);
-  const auto yv = B::set1_f64(y);
+  const auto zero = B::set1_f64(0.0);
   const auto inf = B::set1_f64(std::numeric_limits<double>::infinity());
+  const auto two = B::set1_f64(2.0);
   // Lane j of a block starting at pixel i sits at column x0 + x_step*(i+j):
   // integers far below 2^53, so every lane's x is the exact double the
   // scalar reference converts.
@@ -182,27 +204,69 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
 
   std::int32_t i = 0;
   for (; i + kL <= count; i += kL) {
+    const std::int32_t g_lo = cols[i];
+    const std::int32_t g_hi = cols[i + kL - 1];
+    const std::int32_t c_lo = g_lo > 0 ? g_lo - 1 : 0;
+    const std::int32_t c_hi = g_hi + 1 < ncols ? g_hi + 1 : ncols - 1;
+    if constexpr (kL > 1) {
+      if (c_hi - c_lo + 1 > kMaxUnion) {
+        assign_candidates_row_impl<ScalarBackend>(
+            L + i, a + i, b + i, cols + i, x0 + x_step * i, x_step, kL, y,
+            col_ops, ncols, spatial_weight,
+            active == nullptr ? nullptr : active + i, labels + i);
+        continue;
+      }
+    }
     const auto pl = B::load_f32(L + i);
     const auto pa = B::load_f32(a + i);
     const auto pb = B::load_f32(b + i);
     const auto xv =
         B::add(B::set1_f64(static_cast<double>(x0 + x_step * i)), lane_dx);
-    auto best = inf;
-    auto best_idx = B::set1_lab(cands[0].index);
-    for (std::int32_t k = 0; k < ncand; ++k) {
-      const CenterOperand& c = cands[k];
+    const auto distance = [&](const CenterOperand& c) {
       const auto dl = B::sub(pl, B::set1_f64(c.L));
       const auto da = B::sub(pa, B::set1_f64(c.a));
       const auto db = B::sub(pb, B::set1_f64(c.b));
       const auto dx = B::sub(xv, B::set1_f64(c.x));
-      const auto dy = B::sub(yv, B::set1_f64(c.y));
+      // dy is uniform across the row: the scalar product is the same IEEE
+      // operation every lane would perform.
+      const double dy = y - c.y;
       const auto dc2 =
           B::add(B::add(B::mul(dl, dl), B::mul(da, da)), B::mul(db, db));
-      const auto ds2 = B::add(B::mul(dx, dx), B::mul(dy, dy));
-      const auto d = B::add(dc2, B::mul(w, ds2));
+      const auto ds2 = B::add(B::mul(dx, dx), B::set1_f64(dy * dy));
+      return B::add(dc2, B::mul(w, ds2));
+    };
+    auto best = inf;
+    auto best_idx = B::set1_lab(col_ops[3 * c_lo].index);
+    const auto consider = [&](VD d, std::int32_t index) {
       const auto m = B::cmplt_f64(d, best);
       best = B::select_f64(m, d, best);
-      best_idx = B::select_lab(m, B::set1_lab(c.index), best_idx);
+      best_idx = B::select_lab(m, B::set1_lab(index), best_idx);
+    };
+    if (g_lo == g_hi) {
+      for (std::int32_t r = 0; r < 3; ++r) {
+        for (std::int32_t c = c_lo; c <= c_hi; ++c) {
+          const CenterOperand& op = col_ops[3 * c + r];
+          consider(distance(op), op.index);
+        }
+      }
+    } else {
+      // Penalty per union column: +0.0 where |column - lane column| <= 1,
+      // +inf elsewhere (the difference is an exact small integer, so its
+      // square is 0 or 1 exactly when the column is a lane candidate).
+      const auto lane_col = B::load_i32_f64(cols + i);
+      VD penalty[static_cast<std::size_t>(kMaxUnion)];
+      for (std::int32_t c = c_lo; c <= c_hi; ++c) {
+        const auto diff =
+            B::sub(lane_col, B::set1_f64(static_cast<double>(c)));
+        penalty[c - c_lo] =
+            B::select_f64(B::cmplt_f64(B::mul(diff, diff), two), zero, inf);
+      }
+      for (std::int32_t r = 0; r < 3; ++r) {
+        for (std::int32_t c = c_lo; c <= c_hi; ++c) {
+          const CenterOperand& op = col_ops[3 * c + r];
+          consider(B::add(distance(op), penalty[c - c_lo]), op.index);
+        }
+      }
     }
     if (active == nullptr) {
       B::storeu_lab(labels + i, best_idx);
@@ -215,9 +279,9 @@ void assign_candidates_row_impl(const float* L, const float* a, const float* b,
   if constexpr (kL > 1) {
     if (i < count) {
       assign_candidates_row_impl<ScalarBackend>(
-          L + i, a + i, b + i, x0 + x_step * i, x_step, count - i, y, cands,
-          ncand, spatial_weight, active == nullptr ? nullptr : active + i,
-          labels + i);
+          L + i, a + i, b + i, cols + i, x0 + x_step * i, x_step, count - i, y,
+          col_ops, ncols, spatial_weight,
+          active == nullptr ? nullptr : active + i, labels + i);
     }
   }
 }

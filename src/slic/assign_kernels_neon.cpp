@@ -22,6 +22,9 @@ struct NeonBackend {
   using MI = uint32x4_t;
 
   static VD load_f32(const float* p) { return vcvt_f64_f32(vld1_f32(p)); }
+  static VD load_i32_f64(const std::int32_t* p) {
+    return vcvtq_f64_s64(vmovl_s32(vld1_s32(p)));
+  }
   static VD loadu_f64(const double* p) { return vld1q_f64(p); }
   static void storeu_f64(double* p, VD v) { vst1q_f64(p, v); }
   static VD set1_f64(double v) { return vdupq_n_f64(v); }

@@ -27,6 +27,10 @@ struct Sse2Backend {
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
     return _mm_cvtps_pd(f);
   }
+  static VD load_i32_f64(const std::int32_t* p) {
+    return _mm_cvtepi32_pd(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
   static VD loadu_f64(const double* p) { return _mm_loadu_pd(p); }
   static void storeu_f64(double* p, VD v) { _mm_storeu_pd(p, v); }
   static VD set1_f64(double v) { return _mm_set1_pd(v); }

@@ -26,61 +26,73 @@ ConnectivityResult enforce_connectivity_span(
       std::max<std::size_t>(1, n / static_cast<std::size_t>(expected_superpixels) / 4);
 
   if (!out_prefilled) std::fill(out, out + n, std::int32_t{-1});
-  std::vector<std::int64_t>& stack = scratch.stack;
-  std::vector<std::int64_t>& member_indices = scratch.members;
+  std::vector<ConnectivitySpan>& stack = scratch.stack;
+  std::vector<ConnectivitySpan>& members = scratch.members;
   ConnectivityResult result;
   std::int32_t next_label = 0;
-  const auto stride = static_cast<std::int64_t>(w);
-  const auto at = [&](int x, int y) -> std::int64_t {
-    return static_cast<std::int64_t>(y) * stride + x;
+  const auto row_offset = [w](int y) {
+    return static_cast<std::ptrdiff_t>(y) * static_cast<std::ptrdiff_t>(w);
   };
 
   for (int y = 0; y < h; ++y) {
+    std::int32_t* const out_row = out + row_offset(y);
     for (int x = 0; x < w; ++x) {
-      if (out[at(x, y)] >= 0) continue;
+      if (out_row[x] >= 0) continue;
 
       // The component merged into when this one turns out to be a stray
       // fragment: the most recent already-relabelled 4-neighbour in scan
-      // order (exists for every component except the first).
+      // order — left, right, up, down; the last labelled one wins (exists
+      // for every component except the first).
       std::int32_t adjacent_label = next_label > 0 ? 0 : -1;
-      for (int d = 0; d < 4; ++d) {
-        const int nx2 = x + kDx[d];
-        const int ny2 = y + kDy[d];
-        if (nx2 >= 0 && nx2 < w && ny2 >= 0 && ny2 < h && out[at(nx2, ny2)] >= 0)
-          adjacent_label = out[at(nx2, ny2)];
-      }
+      if (x > 0 && out_row[x - 1] >= 0) adjacent_label = out_row[x - 1];
+      if (x + 1 < w && out_row[x + 1] >= 0) adjacent_label = out_row[x + 1];
+      if (y > 0 && out_row[x - w] >= 0) adjacent_label = out_row[x - w];
+      if (y + 1 < h && out_row[x + w] >= 0) adjacent_label = out_row[x + w];
 
-      // Flood-fill this component under the original labelling. Members are
-      // recorded only while the component could still be absorbed (fewer
-      // than min_size pixels seen) — a larger component keeps its label, so
-      // tracking its remaining members would only burn memory.
-      const std::int32_t original = labels[at(x, y)];
-      out[at(x, y)] = next_label;
+      // Scanline-fill this component under the original labelling: each
+      // seed grows into the maximal unfilled run of its row, which is
+      // filled at once and queued so the rows above and below it get
+      // scanned for further seeds. Runs are recorded only while the
+      // component could still be absorbed (fewer than min_size pixels
+      // seen) — a larger component keeps its label.
+      const std::int32_t original = labels[row_offset(y) + x];
+      std::size_t member_count = 0;
       stack.clear();
-      stack.push_back(at(x, y));
-      member_indices.clear();
-      member_indices.push_back(stack.back());
-      std::size_t member_count = 1;
+      members.clear();
+      const auto fill_run = [&](int fy, int fx) {
+        const std::int32_t* const lrow = labels + row_offset(fy);
+        std::int32_t* const orow = out + row_offset(fy);
+        int x0 = fx;
+        int x1 = fx + 1;
+        while (x0 > 0 && orow[x0 - 1] < 0 && lrow[x0 - 1] == original) --x0;
+        while (x1 < w && orow[x1] < 0 && lrow[x1] == original) ++x1;
+        std::fill(orow + x0, orow + x1, next_label);
+        if (member_count < min_size) members.push_back({fy, x0, x1});
+        member_count += static_cast<std::size_t>(x1 - x0);
+        stack.push_back({fy, x0, x1});
+        return x1;
+      };
+      fill_run(y, x);
       while (!stack.empty()) {
-        const std::int64_t flat = stack.back();
+        const ConnectivitySpan span = stack.back();
         stack.pop_back();
-        const int cx = static_cast<int>(flat % stride);
-        const int cy = static_cast<int>(flat / stride);
-        for (int d = 0; d < 4; ++d) {
-          const int nx2 = cx + kDx[d];
-          const int ny2 = cy + kDy[d];
-          if (nx2 < 0 || nx2 >= w || ny2 < 0 || ny2 >= h) continue;
-          const std::int64_t nf = at(nx2, ny2);
-          if (out[nf] >= 0 || labels[nf] != original) continue;
-          out[nf] = next_label;
-          stack.push_back(nf);
-          if (member_count < min_size) member_indices.push_back(nf);
-          ++member_count;
+        for (const int ny : {span.y - 1, span.y + 1}) {
+          if (ny < 0 || ny >= h) continue;
+          const std::int32_t* const lrow = labels + row_offset(ny);
+          const std::int32_t* const orow = out + row_offset(ny);
+          for (int cx = span.x0; cx < span.x1; ++cx) {
+            if (orow[cx] >= 0 || lrow[cx] != original) continue;
+            // Column x1 of the new run is filled or foreign: skip it too.
+            cx = fill_run(ny, cx);
+          }
         }
       }
 
       if (member_count < min_size && adjacent_label >= 0) {
-        for (const std::int64_t flat : member_indices) out[flat] = adjacent_label;
+        for (const ConnectivitySpan& run : members) {
+          std::int32_t* const orow = out + row_offset(run.y);
+          std::fill(orow + run.x0, orow + run.x1, adjacent_label);
+        }
         result.components_merged += 1;
         result.pixels_moved += member_count;
       } else {
@@ -107,10 +119,14 @@ ConnectivityResult enforce_connectivity(LabelImage& labels,
   ConnectivityScratch& sc = scratch != nullptr ? *scratch : local_scratch;
   if (sc.out.width() != w || sc.out.height() != h) {
     sc.out = LabelImage(w, h);
-    // Worst case is one component spanning the whole image; reserving it up
-    // front keeps every later call at this size allocation-free.
-    sc.span.stack.reserve(n);
-    sc.span.members.reserve(n);
+    // Worst cases, reserved up front so every later call at this size is
+    // allocation-free: runs of one component in one row are separated by
+    // at least one foreign pixel, so the queue never holds more than
+    // ceil(w/2) runs per row; members stops recording at min_size <= n/4
+    // pixels, one run per entry at least.
+    sc.span.stack.reserve(static_cast<std::size_t>(h) *
+                          static_cast<std::size_t>((w + 1) / 2));
+    sc.span.members.reserve(n / 4 + 1);
   }
 
   const ConnectivityResult result =

@@ -21,16 +21,25 @@ struct ConnectivityResult {
   std::size_t pixels_moved = 0; ///< pixels whose label changed by merging
 };
 
-/// Working buffers of the span-core relabelling pass. Flat indices are
-/// 64-bit so the pass addresses rasters beyond 2^31 pixels (the out-of-core
-/// tiled driver runs it over gigapixel label planes). The vectors grow on
-/// demand; `members` records at most min_size entries per component (once a
-/// component is provably large it can never be absorbed, so its remaining
-/// members need no tracking) — which keeps the worst case proportional to
-/// the fragment threshold, not the image.
+/// One horizontal run of a component: columns [x0, x1) of row y.
+struct ConnectivitySpan {
+  int y = 0;
+  int x0 = 0;
+  int x1 = 0;
+};
+
+/// Working buffers of the span-core relabelling pass, a scanline fill: each
+/// entry is a run of one row, so no flat index is ever divided back into
+/// coordinates, and row offsets are 64-bit so the pass addresses rasters
+/// beyond 2^31 pixels (the out-of-core tiled driver runs it over gigapixel
+/// label planes). The vectors grow on demand; `members` records runs only
+/// until the component reaches min_size pixels (once a component is
+/// provably large it can never be absorbed, so its remaining members need
+/// no tracking) — which keeps it proportional to the fragment threshold,
+/// not the image.
 struct ConnectivitySpanScratch {
-  std::vector<std::int64_t> stack;    ///< flood-fill worklist (flat indices)
-  std::vector<std::int64_t> members;  ///< current component's flat indices
+  std::vector<ConnectivitySpan> stack;    ///< filled runs left to expand
+  std::vector<ConnectivitySpan> members;  ///< current component's runs
 };
 
 /// Reusable working buffers of enforce_connectivity. A caller that keeps

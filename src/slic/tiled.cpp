@@ -152,12 +152,13 @@ struct Window {
   }
 };
 
-/// Per-tile working buffers (CPA min-dist scratch, PPA subset-mask row),
-/// recycled through a freelist so a steady-state run allocates per distinct
-/// tile shape, not per tile visit.
+/// Per-tile working buffers (CPA min-dist scratch, PPA subset-mask row and
+/// single-cell column map), recycled through a freelist so a steady-state
+/// run allocates per distinct tile shape, not per tile visit.
 struct TileScratch {
   std::vector<double> min_dist;
   std::vector<std::uint8_t> mask;
+  std::vector<std::int32_t> cell_columns;
 };
 
 class TileScratchPool {
@@ -780,7 +781,10 @@ void TiledRun::run_ppa(Segmentation& result) {
     // tile. assign_candidates_row is per-pixel pure (fresh best-of-9, no
     // cross-pixel state), so any segment split reproduces the monolithic
     // bytes; the subset mask is rebuilt per segment with the same
-    // schedule.active values.
+    // schedule.active values. Each segment is one cell, fed to the kernel
+    // as a 3-column table taken from the cell's build_candidate_map list
+    // (column map all 1), which keeps this driver an independent check of
+    // PpaSlic's row-wide column map and operand table.
     std::fill(tile_visited.begin(), tile_visited.end(), 0);
     for (auto& remaining : row_remaining)
       remaining.store(tiles_x, std::memory_order_relaxed);
@@ -795,8 +799,9 @@ void TiledRun::run_ppa(Segmentation& result) {
       SSLIC_TRACE_SCOPE_AT(1, "tiled.assign.tile", static_cast<std::int64_t>(t));
       TileScratch scratch = scratch_pool.acquire();
       scratch.mask.resize(static_cast<std::size_t>(rx1 - rx0));
+      scratch.cell_columns.assign(static_cast<std::size_t>(rx1 - rx0), 1);
       std::uint64_t visited_total = 0;
-      std::array<kernels::CenterOperand, 9> cand_ops;
+      std::array<kernels::CenterOperand, 9> cell_ops;
 
       const int gy0 = stripe_of_y(ry0);
       const int gy1 = stripe_of_y(ry1 - 1);
@@ -817,11 +822,14 @@ void TiledRun::run_ppa(Segmentation& result) {
           const int sx0 = std::max(cx0, rx0);
           const int sx1 = std::min(cx1, rx1);
           if (sx0 >= sx1) continue;
+          // List slot 3*dy + dx holds column dx of row dy: table entry
+          // 3*dx + dy.
           const CandidateList& cand = candidates[cell];
           for (std::size_t k = 0; k < cand.size(); ++k) {
             const ClusterCenter& cc =
                 centers[static_cast<std::size_t>(cand[k])];
-            cand_ops[k] = {cc.L, cc.a, cc.b, cc.x, cc.y, cand[k]};
+            cell_ops[3 * (k % 3) + k / 3] = {cc.L, cc.a, cc.b,
+                                             cc.x, cc.y, cand[k]};
           }
           const std::int32_t count = sx1 - sx0;
           for (int y = sy0; y < sy1; ++y) {
@@ -841,10 +849,9 @@ void TiledRun::run_ppa(Segmentation& result) {
             }
             SSLIC_TRACE_SCOPE_AT(2, "tiled.kernel.row", y);
             kt_.assign_candidates_row(
-                pl_ + off, pa_ + off, pb_ + off, sx0, 1, count,
-                static_cast<double>(y), cand_ops.data(),
-                static_cast<std::int32_t>(cand.size()), spatial_weight_, mask,
-                labels_ + off);
+                pl_ + off, pa_ + off, pb_ + off, scratch.cell_columns.data(),
+                sx0, 1, count, static_cast<double>(y), cell_ops.data(), 3,
+                spatial_weight_, mask, labels_ + off);
             visited_total += visited;
           }
         }

@@ -7,6 +7,7 @@
 // runs through the ISA override.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -21,7 +22,9 @@
 #include "dataset/synthetic.h"
 #include "slic/assign_kernels.h"
 #include "slic/center_update.h"
+#include "slic/grid.h"
 #include "slic/hw_datapath.h"
+#include "slic/iteration_scratch.h"
 #include "slic/slic_baseline.h"
 #include "slic/subsampled.h"
 #include "slic/types.h"
@@ -229,6 +232,39 @@ TEST(SimdKernels, AssignCenterRowTieKeepsExistingLabel) {
   }
 }
 
+/// Row-wide candidate-kernel inputs: a non-decreasing grid-column map over
+/// `size` elements and 3 operands per grid column (rows gy-1, gy, gy+1).
+struct ColumnTable {
+  std::int32_t ncols = 1;
+  std::vector<std::int32_t> cols;
+  std::vector<kernels::CenterOperand> ops;
+};
+
+/// Random columns in [0, ncols) — sorted, so a vector block may span one
+/// column or jump across several — and random operands. With `twins`, one
+/// operand is copied to another column/row slot under a different index,
+/// so equal distances must resolve to the earlier slot in every lane.
+ColumnTable random_column_table(Rng& rng, std::size_t size, int max_xy,
+                                bool twins) {
+  ColumnTable t;
+  t.ncols = rng.next_int(1, 6);
+  t.cols.resize(size);
+  for (auto& c : t.cols) c = rng.next_int(0, t.ncols - 1);
+  std::sort(t.cols.begin(), t.cols.end());
+  t.ops.resize(3 * static_cast<std::size_t>(t.ncols));
+  for (std::size_t k = 0; k < t.ops.size(); ++k)
+    t.ops[k] = random_center(rng, max_xy, static_cast<std::int32_t>(k * 11));
+  if (twins && t.ops.size() >= 2) {
+    const auto from = static_cast<std::size_t>(
+        rng.next_int(0, static_cast<int>(t.ops.size()) - 2));
+    const auto to = static_cast<std::size_t>(rng.next_int(
+        static_cast<int>(from) + 1, static_cast<int>(t.ops.size()) - 1));
+    t.ops[to] = t.ops[from];
+    t.ops[to].index = 999;
+  }
+  return t;
+}
+
 TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
   const std::vector<simd::Isa> isas = testable_vector_isas();
   if (isas.empty()) GTEST_SKIP() << "no vector backend compiled for this CPU";
@@ -238,22 +274,13 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
   for (int trial = 0; trial < 300; ++trial) {
     const std::int32_t count = rng.next_int(1, 37);
     const std::size_t offset = static_cast<std::size_t>(rng.next_int(0, 7));
+    const std::size_t size = offset + static_cast<std::size_t>(count);
     const std::int32_t x0 = rng.next_int(0, 400);
     const double y = static_cast<double>(rng.next_int(0, 300));
     const double weight = rng.next_double(0.001, 2.0);
-    const std::int32_t ncand = rng.next_int(1, 9);
-    std::array<kernels::CenterOperand, 9> cands;
-    for (std::int32_t k = 0; k < ncand; ++k)
-      cands[static_cast<std::size_t>(k)] = random_center(rng, 400, k * 11);
-    if (ncand >= 2 && rng.next_bool(0.5)) {
-      // Duplicate candidate with a different index: equal distances must
-      // resolve to the earlier slot in every lane.
-      kernels::CenterOperand dup = cands[0];
-      dup.index = 999;
-      cands[static_cast<std::size_t>(ncand - 1)] = dup;
-    }
-    const FloatRows base =
-        make_float_rows(rng, offset + static_cast<std::size_t>(count));
+    const ColumnTable table =
+        random_column_table(rng, size, 400, rng.next_bool(0.5));
+    const FloatRows base = make_float_rows(rng, size);
     // Mask modes: all pixels (null), random subset, every pixel masked off.
     const int mask_mode = rng.next_int(0, 2);
 
@@ -262,10 +289,10 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
       std::fill(ref.active.begin(), ref.active.end(), std::uint8_t{0});
     const std::uint8_t* ref_mask =
         mask_mode == 0 ? nullptr : ref.active.data() + offset;
-    scalar.assign_candidates_row(ref.L.data() + offset, ref.a.data() + offset,
-                                 ref.b.data() + offset, x0, 1, count, y,
-                                 cands.data(), ncand, weight, ref_mask,
-                                 ref.labels.data() + offset);
+    scalar.assign_candidates_row(
+        ref.L.data() + offset, ref.a.data() + offset, ref.b.data() + offset,
+        table.cols.data() + offset, x0, 1, count, y, table.ops.data(),
+        table.ncols, weight, ref_mask, ref.labels.data() + offset);
     for (const simd::Isa isa : isas) {
       FloatRows got = base;
       if (mask_mode == 2)
@@ -274,8 +301,8 @@ TEST(SimdKernels, AssignCandidatesRowMatchesScalarExactly) {
           mask_mode == 0 ? nullptr : got.active.data() + offset;
       kernels::table_for(isa).assign_candidates_row(
           got.L.data() + offset, got.a.data() + offset, got.b.data() + offset,
-          x0, 1, count, y, cands.data(), ncand, weight, got_mask,
-          got.labels.data() + offset);
+          table.cols.data() + offset, x0, 1, count, y, table.ops.data(),
+          table.ncols, weight, got_mask, got.labels.data() + offset);
       ASSERT_EQ(got.labels, ref.labels)
           << "labels diverged, isa=" << simd::isa_name(isa)
           << " trial=" << trial << " mask_mode=" << mask_mode;
@@ -297,24 +324,22 @@ TEST(SimdKernels, StridedCandidatesAndAccumulateMatchScalarExactly) {
     for (std::int32_t count = 0; count <= 24; ++count) {
       for (int trial = 0; trial < 6; ++trial) {
         const auto offset = static_cast<std::size_t>(rng.next_int(0, 7));
+        const std::size_t size = offset + static_cast<std::size_t>(count);
         const std::int32_t x0 = rng.next_int(0, 300);
         const std::int32_t y = rng.next_int(0, 300);
         const double weight = rng.next_double(0.001, 2.0);
-        const std::int32_t ncand = rng.next_int(1, 9);
-        std::array<kernels::CenterOperand, 9> cands;
-        for (std::int32_t k = 0; k < ncand; ++k)
-          cands[static_cast<std::size_t>(k)] = random_center(rng, 400, k * 7);
-        const FloatRows base =
-            make_float_rows(rng, offset + static_cast<std::size_t>(count));
+        const ColumnTable table =
+            random_column_table(rng, size, 400, rng.next_bool(0.5));
+        const FloatRows base = make_float_rows(rng, size);
         // A null mask (PpaSlic) or a random subset mask.
         const bool masked = rng.next_bool(0.5);
 
         FloatRows ref = base;
         scalar.assign_candidates_row(
             ref.L.data() + offset, ref.a.data() + offset,
-            ref.b.data() + offset, x0, x_step, count, static_cast<double>(y),
-            cands.data(), ncand, weight,
-            masked ? ref.active.data() + offset : nullptr,
+            ref.b.data() + offset, table.cols.data() + offset, x0, x_step,
+            count, static_cast<double>(y), table.ops.data(), table.ncols,
+            weight, masked ? ref.active.data() + offset : nullptr,
             ref.labels.data() + offset);
         // Few distinct labels, so the accumulator sees multi-pixel runs.
         std::vector<std::int32_t> acc_labels(base.labels.size());
@@ -342,9 +367,9 @@ TEST(SimdKernels, StridedCandidatesAndAccumulateMatchScalarExactly) {
           FloatRows got = base;
           vec.assign_candidates_row(
               got.L.data() + offset, got.a.data() + offset,
-              got.b.data() + offset, x0, x_step, count,
-              static_cast<double>(y), cands.data(), ncand, weight,
-              masked ? got.active.data() + offset : nullptr,
+              got.b.data() + offset, table.cols.data() + offset, x0, x_step,
+              count, static_cast<double>(y), table.ops.data(), table.ncols,
+              weight, masked ? got.active.data() + offset : nullptr,
               got.labels.data() + offset);
           ASSERT_EQ(got.labels, ref.labels)
               << "labels diverged, isa=" << simd::isa_name(isa)
@@ -376,21 +401,150 @@ TEST(SimdKernels, StridedCandidatesRowEqualsNaturalRowAtSameColumns) {
   for (const std::int32_t x_step : {2, 3, 5}) {
     const std::int32_t count = 19;
     const std::int32_t x0 = 4;
-    std::array<kernels::CenterOperand, 9> cands;
-    for (std::int32_t k = 0; k < 9; ++k)
-      cands[static_cast<std::size_t>(k)] = random_center(rng, 100, k);
+    const ColumnTable table = random_column_table(
+        rng, static_cast<std::size_t>(count), 100, false);
     const FloatRows rows = make_float_rows(rng, static_cast<std::size_t>(count));
     std::vector<std::int32_t> strided(static_cast<std::size_t>(count), -1);
     scalar.assign_candidates_row(rows.L.data(), rows.a.data(), rows.b.data(),
-                                 x0, x_step, count, 7.0, cands.data(), 9, 0.3,
-                                 nullptr, strided.data());
+                                 table.cols.data(), x0, x_step, count, 7.0,
+                                 table.ops.data(), table.ncols, 0.3, nullptr,
+                                 strided.data());
     for (std::int32_t i = 0; i < count; ++i) {
       const auto at = static_cast<std::size_t>(i);
       std::int32_t single = -1;
       scalar.assign_candidates_row(&rows.L[at], &rows.a[at], &rows.b[at],
-                                   x0 + x_step * i, 1, 1, 7.0, cands.data(),
-                                   9, 0.3, nullptr, &single);
+                                   &table.cols[at], x0 + x_step * i, 1, 1, 7.0,
+                                   table.ops.data(), table.ncols, 0.3, nullptr,
+                                   &single);
       EXPECT_EQ(strided[at], single) << "x_step=" << x_step << " i=" << i;
+    }
+  }
+}
+
+/// Grid column of x under the PPA tile partition [gx*w/nx, (gx+1)*w/nx).
+int tile_column(const CenterGrid& grid, int x) {
+  int gx = 0;
+  while ((gx + 1) * grid.width() / grid.nx() <= x) ++gx;
+  return gx;
+}
+
+TEST(SimdKernels, RowWideCandidatesMatchPerPixelCandidateLists) {
+  // The row-wide kernel against the per-pixel definition of PPA: each
+  // pixel walks its own cell's build_candidate_map list (9 slots, strict
+  // `<`, earliest slot wins ties) with the kernels' operation sequence.
+  // Geometries give cells 1-24 px wide (so 8-lane blocks span one, two or
+  // many cells), nx = 1 and 2, and runs touching both border columns; every
+  // backend, x_step 1-5, run lengths 0-40, misaligned starts, and with and
+  // without a subset mask. build_column_map and fill_column_operands build
+  // the kernel inputs exactly as PpaSlic does.
+  std::vector<simd::Isa> isas = testable_vector_isas();
+  isas.insert(isas.begin(), simd::Isa::kScalar);
+  struct Geometry {
+    int width;
+    int height;
+    int superpixels;
+  };
+  const Geometry geometries[] = {
+      {17, 9, 1},     {40, 20, 2},     {48, 24, 2},    {23, 23, 4},    {48, 6, 8},
+      {16, 16, 64},   {30, 10, 300},   {97, 31, 200},  {120, 40, 40},
+      {200, 50, 100}, {301, 97, 2000}, {192, 108, 50}, {64, 64, 4096}};
+  Rng rng(0xc0175);
+  for (const Geometry& g : geometries) {
+    const CenterGrid grid(g.width, g.height, g.superpixels);
+    const std::vector<CandidateList> candidates = build_candidate_map(grid);
+    std::vector<ClusterCenter> centers(
+        static_cast<std::size_t>(grid.num_centers()));
+    for (auto& c : centers) {
+      c = {rng.next_double(0.0, 100.0), rng.next_double(-90.0, 90.0),
+           rng.next_double(-90.0, 90.0),
+           rng.next_double(0.0, static_cast<double>(g.width)),
+           rng.next_double(0.0, static_cast<double>(g.height))};
+    }
+    // Twin centers (same operands, different index) across neighbouring
+    // cells, so ties between distinct candidates occur.
+    for (std::size_t k = 1; k < centers.size(); k += 3)
+      centers[k] = centers[k - 1];
+    std::vector<kernels::CenterOperand> ops(
+        3 * static_cast<std::size_t>(grid.nx()));
+    std::vector<std::int32_t> natural_map;
+    build_column_map(grid, 1, natural_map);
+    for (int x = 0; x < g.width; ++x)
+      ASSERT_EQ(natural_map[static_cast<std::size_t>(x)], tile_column(grid, x))
+          << "w=" << g.width << " nx=" << grid.nx() << " x=" << x;
+
+    for (const std::int32_t x_step : {1, 2, 3, 4, 5}) {
+      // The subset-major map places column x at its permuted position.
+      std::vector<std::int32_t> permuted_map;
+      build_column_map(grid, x_step, permuted_map);
+      const SubsetMajorRow layout{g.width, x_step};
+      for (int x = 0; x < g.width; ++x)
+        ASSERT_EQ(permuted_map[static_cast<std::size_t>(layout.position(x))],
+                  tile_column(grid, x));
+
+      for (int trial = 0; trial < 8; ++trial) {
+        const int gy = rng.next_int(0, grid.ny() - 1);
+        fill_column_operands(grid, centers, gy, ops.data());
+        const double y = static_cast<double>(rng.next_int(0, g.height - 1));
+        const double weight = rng.next_double(0.001, 2.0);
+        // A run x0, x0 + x_step, ... inside the raster; trial 0 starts at
+        // the left border, trial 1 ends at the right border.
+        const std::int32_t x0 =
+            trial == 0 ? 0 : rng.next_int(0, g.width - 1);
+        const std::int32_t max_count = (g.width - 1 - x0) / x_step + 1;
+        std::int32_t count = std::min(rng.next_int(0, 40), max_count);
+        if (trial == 1) count = max_count;
+        const auto offset = static_cast<std::size_t>(rng.next_int(0, 7));
+        const std::size_t size = offset + static_cast<std::size_t>(count);
+        const FloatRows base = make_float_rows(rng, size);
+        std::vector<std::int32_t> cols(size, 0);
+        for (std::int32_t i = 0; i < count; ++i) {
+          cols[offset + static_cast<std::size_t>(i)] =
+              natural_map[static_cast<std::size_t>(x0 + x_step * i)];
+        }
+        const bool masked = rng.next_bool(0.5);
+
+        // Per-pixel reference.
+        std::vector<std::int32_t> want = base.labels;
+        for (std::int32_t i = 0; i < count; ++i) {
+          const std::size_t at = offset + static_cast<std::size_t>(i);
+          if (masked && base.active[at] == 0) continue;
+          const int x = x0 + x_step * i;
+          const CandidateList& list = candidates[static_cast<std::size_t>(
+              grid.center_index(tile_column(grid, x), gy))];
+          double best = std::numeric_limits<double>::infinity();
+          std::int32_t best_idx = list[0];
+          for (const std::int32_t index : list) {
+            const ClusterCenter& c = centers[static_cast<std::size_t>(index)];
+            const double dl = static_cast<double>(base.L[at]) - c.L;
+            const double da = static_cast<double>(base.a[at]) - c.a;
+            const double db = static_cast<double>(base.b[at]) - c.b;
+            const double dx = static_cast<double>(x) - c.x;
+            const double dy = y - c.y;
+            const double d = ((dl * dl + da * da) + db * db) +
+                             weight * (dx * dx + dy * dy);
+            if (d < best) {
+              best = d;
+              best_idx = index;
+            }
+          }
+          want[at] = best_idx;
+        }
+
+        for (const simd::Isa isa : isas) {
+          FloatRows got = base;
+          kernels::table_for(isa).assign_candidates_row(
+              got.L.data() + offset, got.a.data() + offset,
+              got.b.data() + offset, cols.data() + offset, x0, x_step, count,
+              y, ops.data(), grid.nx(), weight,
+              masked ? got.active.data() + offset : nullptr,
+              got.labels.data() + offset);
+          ASSERT_EQ(got.labels, want)
+              << "isa=" << simd::isa_name(isa) << " w=" << g.width
+              << " nx=" << grid.nx() << " x_step=" << x_step
+              << " x0=" << x0 << " count=" << count << " gy=" << gy
+              << " masked=" << masked;
+        }
+      }
     }
   }
 }

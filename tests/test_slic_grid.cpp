@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
 #include "slic/subset_schedule.h"
@@ -404,6 +405,150 @@ TEST(Connectivity, OutputLabelsCompact) {
   EXPECT_EQ(static_cast<int>(seen.size()), result.final_label_count);
   EXPECT_EQ(*seen.begin(), 0);
   EXPECT_EQ(*seen.rbegin(), result.final_label_count - 1);
+}
+
+/// The per-pixel depth-first relabelling the scanline fill replaced, kept
+/// verbatim as the oracle: scan-order components, adjacent_label from the
+/// seed's 4-neighbours (left, right, up, down; last labelled wins), members
+/// recorded up to min_size, fragments below min_size absorbed.
+ConnectivityResult pixel_dfs_connectivity(const std::vector<std::int32_t>& labels,
+                                          std::vector<std::int32_t>& out, int w,
+                                          int h, int expected_superpixels) {
+  constexpr int kDx[4] = {-1, 1, 0, 0};
+  constexpr int kDy[4] = {0, 0, -1, 1};
+  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  const std::size_t min_size = std::max<std::size_t>(
+      1, n / static_cast<std::size_t>(expected_superpixels) / 4);
+  out.assign(n, -1);
+  std::vector<std::int64_t> stack;
+  std::vector<std::int64_t> member_indices;
+  ConnectivityResult result;
+  std::int32_t next_label = 0;
+  const auto stride = static_cast<std::int64_t>(w);
+  const auto at = [&](int x, int y) -> std::size_t {
+    return static_cast<std::size_t>(static_cast<std::int64_t>(y) * stride + x);
+  };
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (out[at(x, y)] >= 0) continue;
+      std::int32_t adjacent_label = next_label > 0 ? 0 : -1;
+      for (int d = 0; d < 4; ++d) {
+        const int nx2 = x + kDx[d];
+        const int ny2 = y + kDy[d];
+        if (nx2 >= 0 && nx2 < w && ny2 >= 0 && ny2 < h && out[at(nx2, ny2)] >= 0)
+          adjacent_label = out[at(nx2, ny2)];
+      }
+      const std::int32_t original = labels[at(x, y)];
+      out[at(x, y)] = next_label;
+      stack.clear();
+      stack.push_back(static_cast<std::int64_t>(at(x, y)));
+      member_indices.clear();
+      member_indices.push_back(stack.back());
+      std::size_t member_count = 1;
+      while (!stack.empty()) {
+        const std::int64_t flat = stack.back();
+        stack.pop_back();
+        const int cx = static_cast<int>(flat % stride);
+        const int cy = static_cast<int>(flat / stride);
+        for (int d = 0; d < 4; ++d) {
+          const int nx2 = cx + kDx[d];
+          const int ny2 = cy + kDy[d];
+          if (nx2 < 0 || nx2 >= w || ny2 < 0 || ny2 >= h) continue;
+          const std::size_t nf = at(nx2, ny2);
+          if (out[nf] >= 0 || labels[nf] != original) continue;
+          out[nf] = next_label;
+          stack.push_back(static_cast<std::int64_t>(nf));
+          if (member_count < min_size)
+            member_indices.push_back(static_cast<std::int64_t>(nf));
+          ++member_count;
+        }
+      }
+      if (member_count < min_size && adjacent_label >= 0) {
+        for (const std::int64_t flat : member_indices)
+          out[static_cast<std::size_t>(flat)] = adjacent_label;
+        result.components_merged += 1;
+        result.pixels_moved += member_count;
+      } else {
+        ++next_label;
+      }
+    }
+  }
+  result.final_label_count = next_label;
+  return result;
+}
+
+TEST(Connectivity, ScanlineFillMatchesPixelDfsOracle) {
+  // Speckled block labellings (block superpixels, random speckle of
+  // foreign labels, and snaking same-label strokes whose runs wrap above
+  // their seed row) on awkward shapes, including 1xN, Nx1, K = 1 and K
+  // near the pixel count, through both entry points: the output planes
+  // and every ConnectivityResult field must equal the pixel DFS.
+  struct Shape {
+    int w;
+    int h;
+  };
+  const Shape shapes[] = {{1, 1},  {1, 37},  {53, 1},  {2, 2},   {7, 5},
+                          {16, 16}, {31, 17}, {64, 48}, {97, 61}, {160, 9}};
+  Rng rng(0xc077ec7);
+  ConnectivitySpanScratch span_scratch;
+  ConnectivityScratch scratch;
+  for (const Shape& shape : shapes) {
+    const int n = shape.w * shape.h;
+    for (const int k : {1, 3, 16, std::max(1, n / 3), n}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const int block = rng.next_int(1, 9);
+        const double speckle = trial == 0 ? 0.0 : rng.next_double(0.0, 0.4);
+        const int palette = rng.next_int(1, 5);
+        std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
+        for (int y = 0; y < shape.h; ++y) {
+          for (int x = 0; x < shape.w; ++x) {
+            std::int32_t label = (x / block) + 7 * (y / block);
+            if (rng.next_bool(speckle)) label = 1000 + rng.next_int(0, palette);
+            // A serpentine stroke of one label: U-shapes that reach back
+            // above the row where the scan first meets them.
+            if (trial == 3 && (x % 4 == 1 || (y % 6 == 0 && x % 8 < 4)))
+              label = 2000;
+            labels[static_cast<std::size_t>(y * shape.w + x)] = label;
+          }
+        }
+
+        std::vector<std::int32_t> want;
+        const ConnectivityResult want_result =
+            pixel_dfs_connectivity(labels, want, shape.w, shape.h, k);
+
+        std::vector<std::int32_t> got(static_cast<std::size_t>(n), 123);
+        int rows_done = 0;
+        const ConnectivityResult got_result = enforce_connectivity_span(
+            labels.data(), got.data(), shape.w, shape.h, k, span_scratch,
+            [&](int y) { EXPECT_EQ(y, rows_done++); });
+        EXPECT_EQ(rows_done, shape.h);
+        ASSERT_EQ(got, want) << shape.w << "x" << shape.h << " K=" << k
+                             << " trial=" << trial;
+        EXPECT_EQ(got_result.final_label_count, want_result.final_label_count);
+        EXPECT_EQ(got_result.components_merged, want_result.components_merged);
+        EXPECT_EQ(got_result.pixels_moved, want_result.pixels_moved);
+
+        // Prefilled output (the out-of-core driver's contract).
+        std::vector<std::int32_t> prefilled(static_cast<std::size_t>(n), -1);
+        enforce_connectivity_span(labels.data(), prefilled.data(), shape.w,
+                                  shape.h, k, span_scratch, {}, true);
+        ASSERT_EQ(prefilled, want);
+
+        // The LabelImage entry point with a reused scratch.
+        LabelImage image(shape.w, shape.h);
+        std::copy(labels.begin(), labels.end(), image.pixels().begin());
+        const ConnectivityResult image_result =
+            enforce_connectivity(image, k, &scratch);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               image.pixels().begin()));
+        EXPECT_EQ(image_result.final_label_count,
+                  want_result.final_label_count);
+        EXPECT_EQ(image_result.components_merged,
+                  want_result.components_merged);
+        EXPECT_EQ(image_result.pixels_moved, want_result.pixels_moved);
+      }
+    }
+  }
 }
 
 TEST(IsFullyConnected, DetectsSplitComponents) {
