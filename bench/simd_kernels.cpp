@@ -1,9 +1,10 @@
 // SIMD row-kernel benchmark: scalar vs every vector backend this binary +
 // CPU can run, for the three hot assignment row kernels (CPA running-min,
 // PPA 9-candidate argmin, 8-bit datapath 9-candidate argmin) and the
-// sRGB->Lab conversion kernel, plus a reported row of the PPA kernel at the
-// live-1080p geometry (row-wide calls vs per-cell calls) and an end-to-end
-// CPA segmentation time per ISA.
+// sRGB->Lab conversion kernel, plus reported rows of the conversion at
+// input strides 1 and 2 (the frame path's planar calls), of the PPA kernel
+// at the live-1080p geometry (row-wide calls vs per-cell calls), and an
+// end-to-end CPA segmentation time per ISA.
 //
 // Reports ns/pixel and effective GB/s per backend, the speedup of the best
 // vector backend over scalar, and — before any timing is trusted — a
@@ -27,6 +28,7 @@
 #include "color/color_convert.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "image/planar.h"
 #include "slic/assign_kernels.h"
 #include "slic/grid.h"
 #include "slic/iteration_scratch.h"
@@ -129,11 +131,46 @@ struct Workload {
 struct RunState {
   std::vector<double> min_dist;
   std::vector<std::int32_t> labels;
-  std::vector<LabF> lab;
+  std::vector<float> L, a, b;  ///< srgb_to_lab_row's planes
 
   explicit RunState(const Workload& wl)
-      : min_dist(wl.min_dist), labels(wl.labels), lab(wl.rgb.size()) {}
+      : min_dist(wl.min_dist),
+        labels(wl.labels),
+        L(wl.rgb.size()),
+        a(wl.rgb.size()),
+        b(wl.rgb.size()) {}
+
+  [[nodiscard]] bool same_as(const RunState& o) const {
+    const auto same_floats = [](const std::vector<float>& x,
+                                const std::vector<float>& y) {
+      return std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+    };
+    return labels == o.labels &&
+           std::memcmp(min_dist.data(), o.min_dist.data(),
+                       min_dist.size() * sizeof(double)) == 0 &&
+           same_floats(L, o.L) && same_floats(a, o.a) && same_floats(b, o.b);
+  }
 };
+
+/// One frame-path conversion pass over the workload's rows at input stride
+/// `x_step`: one srgb_to_lab_row call per (row, stride phase), writing the
+/// subset-major planes (x_step 1 is one call per row).
+void convert_pass(const kernels::KernelTable& table, std::int32_t x_step,
+                  const Workload& wl, RunState& state) {
+  const SubsetMajorRow layout{wl.width, x_step};
+  const double* gamma = srgb_gamma_table().data();
+  for (int r = 0; r < wl.rows; ++r) {
+    const std::size_t row =
+        static_cast<std::size_t>(r) * static_cast<std::size_t>(wl.width);
+    for (int p = 0; p < x_step && p < wl.width; ++p) {
+      const std::size_t out = row + static_cast<std::size_t>(layout.offset(p));
+      table.srgb_to_lab_row(wl.rgb.data() + row + static_cast<std::size_t>(p),
+                            x_step, layout.columns(p), gamma,
+                            state.L.data() + out, state.a.data() + out,
+                            state.b.data() + out);
+    }
+  }
+}
 
 enum class Kernel {
   kCenterRow,
@@ -202,9 +239,9 @@ void run_pass(const kernels::KernelTable& table, Kernel kernel,
             state.labels.data() + off);
         break;
       case Kernel::kSrgbToLabRow:
-        table.srgb_to_lab_row(wl.rgb.data() + off, width,
-                              srgb_gamma_table().data(),
-                              state.lab.data() + off);
+        table.srgb_to_lab_row(wl.rgb.data() + off, 1, width,
+                              srgb_gamma_table().data(), state.L.data() + off,
+                              state.a.data() + off, state.b.data() + off);
         break;
     }
   }
@@ -350,13 +387,7 @@ int main(int argc, char** argv) {
     for (const simd::Isa isa : isas) {
       RunState got(wl);
       run_pass(kernels::table_for(isa), kernel, wl, got);
-      const bool same =
-          got.labels == ref.labels &&
-          std::memcmp(got.min_dist.data(), ref.min_dist.data(),
-                      ref.min_dist.size() * sizeof(double)) == 0 &&
-          std::memcmp(got.lab.data(), ref.lab.data(),
-                      ref.lab.size() * sizeof(LabF)) == 0;
-      if (!same) {
+      if (!got.same_as(ref)) {
         std::cerr << "MISMATCH: " << kernel_name(kernel) << " on "
                   << simd::isa_name(isa) << " diverges from scalar\n";
         all_identical = false;
@@ -422,6 +453,49 @@ int main(int argc, char** argv) {
             << (all_identical ? "all backends byte-identical to scalar"
                               : "MISMATCH (see above)")
             << '\n';
+
+  // --- Frame-path conversion by input stride, per ISA ---
+  // Reported, not gated (the gated srgb_to_lab_row row above is x_step 1):
+  // the conversion as the frame path runs it, one call per (row, stride
+  // phase) into subset-major planes, at x_step 1 (CPA, full PPA) and 2
+  // (the checkerboard/Bayer S-SLIC layouts). Every backend must match the
+  // scalar planes at both strides.
+  bench::Json convert_json = bench::Json::array();
+  Table convert_table("srgb_to_lab_row by x_step (frame-path calls): ns/px");
+  convert_table.set_header({"isa", "x_step 1", "x_step 2", "2 / 1"});
+  std::array<RunState, 2> convert_ref{RunState(wl), RunState(wl)};
+  for (std::int32_t x_step = 1; x_step <= 2; ++x_step)
+    convert_pass(kernels::scalar_table(), x_step, wl,
+                 convert_ref[static_cast<std::size_t>(x_step - 1)]);
+  for (const simd::Isa isa : isas) {
+    const kernels::KernelTable& kt = kernels::table_for(isa);
+    std::array<double, 2> ns{};
+    for (std::int32_t x_step = 1; x_step <= 2; ++x_step) {
+      const auto k = static_cast<std::size_t>(x_step - 1);
+      RunState state(wl);
+      convert_pass(kt, x_step, wl, state);  // warm-up + identity check
+      if (!state.same_as(convert_ref[k])) {
+        std::cerr << "MISMATCH: srgb_to_lab_row x_step " << x_step << " on "
+                  << simd::isa_name(isa) << " diverges from scalar\n";
+        all_identical = false;
+      }
+      std::array<double, 3> samples{};
+      for (double& sample : samples) {
+        Stopwatch watch;
+        for (int rep = 0; rep < reps; ++rep) convert_pass(kt, x_step, wl, state);
+        sample = watch.elapsed_ms();
+      }
+      std::sort(samples.begin(), samples.end());
+      ns[k] = samples[1] * 1e6 / total_pixels;
+    }
+    convert_table.add_row({simd::isa_name(isa), Table::num(ns[0], 3),
+                           Table::num(ns[1], 3), Table::num(ns[1] / ns[0], 2)});
+    convert_json.push(bench::Json::object()
+                          .set("isa", simd::isa_name(isa))
+                          .set("x_step_1_ns_per_pixel", ns[0])
+                          .set("x_step_2_ns_per_pixel", ns[1]));
+  }
+  std::cout << convert_table;
 
   // --- Row-wide PPA assignment at the live geometry, per ISA ---
   // Reported, not gated: one row-wide call per row against one call per
@@ -536,6 +610,11 @@ int main(int argc, char** argv) {
                            .set("candidates", 9))
       .set("machine", bench::machine_json())
       .set("kernels", std::move(kernels_json))
+      .set("srgb_to_lab_row_by_x_step",
+           bench::Json::object()
+               .set("width", width)
+               .set("rows", rows)
+               .set("isas", std::move(convert_json)))
       .set("ppa_live_row",
            bench::Json::object()
                .set("width", LiveRows::kWidth)

@@ -93,18 +93,44 @@ void srgb_to_lab(const RgbImage& image, LabImage& lab) {
   const Rgb8* in = image.pixels().data();
   LabF* out = lab.pixels().data();
   // Pure per-pixel map: identical output for any range partition, and the
-  // kernel contract makes it identical for every backend.
+  // kernel contract makes it identical for every backend. The kernel
+  // writes planes; each block goes through a stack buffer and is
+  // interleaved from there.
   parallel_for(0, static_cast<std::int64_t>(image.size()),
                [&](std::int64_t lo, std::int64_t hi) {
                  SSLIC_TRACE_SCOPE_AT(1, "color.srgb_to_lab.chunk", lo);
-                 // The kernel counts pixels in int32.
-                 constexpr std::int64_t kMaxSpan = std::int64_t{1} << 30;
-                 for (std::int64_t i = lo; i < hi; i += kMaxSpan) {
+                 constexpr std::int64_t kBlock = 256;
+                 float L[kBlock], a[kBlock], b[kBlock];
+                 for (std::int64_t i = lo; i < hi; i += kBlock) {
                    const auto n = static_cast<std::int32_t>(
-                       std::min(hi - i, kMaxSpan));
-                   k.srgb_to_lab_row(in + i, n, gamma, out + i);
+                       std::min(hi - i, kBlock));
+                   k.srgb_to_lab_row(in + i, 1, n, gamma, L, a, b);
+                   for (std::int32_t j = 0; j < n; ++j)
+                     out[i + j] = {L[j], a[j], b[j]};
                  }
                });
+}
+
+void srgb_to_lab(const RgbImage& image, LabPlanes& planes, int stride) {
+  SSLIC_TRACE_SCOPE("color.srgb_to_lab");
+  SSLIC_PERF_SCOPE("color.srgb_to_lab");
+  const int w = image.width();
+  const int h = image.height();
+  if (planes.width() != w || planes.height() != h) planes = LabPlanes(w, h);
+  planes.stride = stride;
+  const kernels::KernelTable& k = kernels::active();
+  const double* gamma = srgb_gamma_table().data();
+  const Rgb8* in = image.pixels().data();
+  float* L = planes.L.data();
+  float* a = planes.a.data();
+  float* b = planes.b.data();
+  // One kernel call per (row, stride phase): the phase's pixels are
+  // `stride` apart in the input and one contiguous run in each plane.
+  for_each_phase_run(w, h, stride, [&](std::size_t from, std::size_t to,
+                                       std::size_t count) {
+    k.srgb_to_lab_row(in + from, stride, static_cast<std::int32_t>(count),
+                      gamma, L + to, a + to, b + to);
+  });
 }
 
 namespace {

@@ -11,6 +11,7 @@
 #include <array>
 
 #include "image/image.h"
+#include "image/planar.h"
 
 namespace sslic {
 
@@ -64,17 +65,26 @@ const std::array<double, 256>& srgb_gamma_table();
 /// [-110,110]).
 LabF srgb_to_lab(Rgb8 rgb);
 
-/// Converts a full image (the path used by the software SLIC
-/// implementations and as the golden model for the LUT unit's tests).
-/// Runs the `srgb_to_lab_row` kernel of kernels::active() over a
-/// parallel_for; every pixel is bit-identical to srgb_to_lab(Rgb8) for any
-/// backend and thread count.
+/// Converts a full image into an interleaved Lab image (the LabImage entry
+/// points, the paper benches, and the golden model for the LUT unit's
+/// tests). Runs the `srgb_to_lab_row` kernel of kernels::active() over a
+/// parallel_for and interleaves its planar output; every pixel is
+/// bit-identical to srgb_to_lab(Rgb8) for any backend and thread count.
 LabImage srgb_to_lab(const RgbImage& image);
 
 /// In-place variant: converts into `lab`, resizing only when the
-/// dimensions change. Allocation-free at steady state (the video loop
-/// reuses one Lab frame across the stream).
+/// dimensions change. Allocation-free at steady state.
 void srgb_to_lab(const RgbImage& image, LabImage& lab);
+
+/// The frame path's conversion: converts straight into channel planes
+/// whose rows are stored at SubsetMajorRow{width, stride} (image/planar.h)
+/// — the layout a segmenter's kernels read (stride 1 for CpaSlic,
+/// PpaSlic::stride() for PpaSlic) — with one `srgb_to_lab_row` call per
+/// (row, stride phase). Sets planes.stride and resizes only when the
+/// dimensions change (allocation-free at steady state). Equal bit for bit
+/// to split_lab_planes(srgb_to_lab(image), planes, stride) for any backend
+/// and thread count.
+void srgb_to_lab(const RgbImage& image, LabPlanes& planes, int stride);
 
 /// Inverse conversion (CIELAB -> 8-bit sRGB, channels clamped), used by the
 /// dataset generator to synthesize images with prescribed Lab statistics.

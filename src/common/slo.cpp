@@ -40,10 +40,14 @@ SloTracker::SloTracker(std::string name, double target_ms, double objective)
 }
 
 SloTracker::~SloTracker() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  auto& trackers = registry();
-  trackers.erase(std::remove(trackers.begin(), trackers.end(), this),
-                 trackers.end());
+  {
+    const std::lock_guard<std::mutex> lock(registry_mutex());
+    auto& trackers = registry();
+    trackers.erase(std::remove(trackers.begin(), trackers.end(), this),
+                   trackers.end());
+  }
+  telemetry::MetricsRegistry::global().remove_prefix("sslic.slo." + name_ +
+                                                     ".");
 }
 
 void SloTracker::record(double latency_ms) {

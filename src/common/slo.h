@@ -17,7 +17,8 @@
 // Each tracker also publishes gauges/counters into the global metrics
 // registry (`sslic.slo.<name>.{burn_rate,target_ms,objective}` and
 // `.{total,violations}`), so burn rates ride the existing /metrics and
-// soak-monitor paths. record() is lock-free after construction.
+// soak-monitor paths, and retires them on destruction. record() is
+// lock-free after construction.
 #pragma once
 
 #include <atomic>

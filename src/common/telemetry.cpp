@@ -416,6 +416,23 @@ void MetricsRegistry::clear() {
   histograms_.clear();
 }
 
+std::size_t MetricsRegistry::remove_prefix(const std::string& prefix) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t removed = 0;
+  const auto drop = [&](auto& metrics) {
+    // Names sharing the prefix are one contiguous range of the sorted map.
+    auto it = metrics.lower_bound(prefix);
+    while (it != metrics.end() && it->first.starts_with(prefix)) {
+      it = metrics.erase(it);
+      ++removed;
+    }
+  };
+  drop(counters_);
+  drop(gauges_);
+  drop(histograms_);
+  return removed;
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -240,6 +240,13 @@ class MetricsRegistry {
   /// Drops every metric. Invalidates references handed out earlier.
   void clear();
 
+  /// Drops every metric whose name starts with `prefix` and returns how
+  /// many it dropped: how an owner with per-instance series (a
+  /// StreamEngine, an SloTracker) retires them when it is destroyed, so a
+  /// process that builds and destroys many owners does not accumulate
+  /// dead series. Invalidates references to the dropped metrics only.
+  std::size_t remove_prefix(const std::string& prefix);
+
   /// The process-wide registry used by the exporters below.
   static MetricsRegistry& global();
 

@@ -112,9 +112,12 @@ StreamEngine::~StreamEngine() {
   done_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
   unregister_engine(this);
-  queued_gauge_->set(0.0);
-  inflight_gauge_->set(0.0);
-  streams_gauge_->set(0.0);
+  // Retire the engine's and its streams' series: nothing records into them
+  // once the scheduler is joined, and a process that builds many engines
+  // must not keep every dead one's series (the streams' SLO trackers
+  // retire their own when the streams are destroyed).
+  telemetry::MetricsRegistry::global().remove_prefix(
+      "sslic.engine." + std::to_string(instance_id_) + ".");
 }
 
 StreamId StreamEngine::open_stream(StreamOptions options) {
@@ -560,25 +563,22 @@ void StreamEngine::process_frame(BatchEntry& entry) {
   {
     SSLIC_TRACE_SCOPE_AT(1, "engine.frame",
                          static_cast<std::int64_t>(slot.sequence));
-    srgb_to_lab(slot.frame, stream.lab);
+    IterationScratch& scratch = stream.scratch;
     if (stream.opts.algorithm == StreamAlgorithm::kCpa) {
-      stream.cpa->segment_lab_into(stream.lab, stream.result, stream.scratch,
-                                   {}, &stream.instr, nullptr);
+      srgb_to_lab(slot.frame, scratch.planes, 1);
+      stream.cpa->segment_planes_into(scratch.planes, stream.result, scratch,
+                                      {}, &stream.instr, nullptr);
     } else {
       const bool can_warm = stream.opts.temporal_warm &&
                             !stream.previous_centers.empty() &&
                             slot.frame.width() == stream.state_width &&
                             slot.frame.height() == stream.state_height;
       entry.warm = can_warm;
-      if (can_warm) {
-        stream.ppa_warm->segment_lab_warm_into(
-            stream.lab, stream.previous_centers, stream.result, stream.scratch,
-            {}, &stream.instr, nullptr);
-      } else {
-        stream.ppa_cold->segment_lab_into(stream.lab, stream.result,
-                                          stream.scratch, {}, &stream.instr,
-                                          nullptr);
-      }
+      const PpaSlic& segmenter = can_warm ? *stream.ppa_warm : *stream.ppa_cold;
+      srgb_to_lab(slot.frame, scratch.planes, segmenter.stride());
+      segmenter.segment_planes_into(
+          scratch.planes, can_warm ? &stream.previous_centers : nullptr,
+          stream.result, scratch, {}, &stream.instr, nullptr);
       if (stream.opts.temporal_warm) {
         // Same center count in steady state: copy-assign reuses the storage.
         stream.previous_centers = stream.result.centers;

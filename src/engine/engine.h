@@ -2,8 +2,9 @@
 // concurrent video streams from one shared thread pool (DESIGN.md §4j).
 //
 // Each stream owns the full warm-start state of a standalone TemporalSlic
-// run — previous centers, Lab conversion buffer, result, IterationScratch —
-// so its label output is byte-identical to feeding the same frames through
+// run — previous centers, result, IterationScratch (whose Lab planes each
+// frame is converted straight into, in the segmenter's layout) — so its
+// label output is byte-identical to feeding the same frames through
 // an independent sequential segmenter. A dedicated scheduler thread forms
 // *cross-stream batches* (at most one frame per stream per batch, so each
 // stream stays strictly in submission order) and dispatches the batch
@@ -316,7 +317,6 @@ class StreamEngine {
     bool reset_requested = false;
     int state_width = 0;
     int state_height = 0;
-    LabImage lab;
     Segmentation result;
     Instrumentation instr;
     IterationScratch scratch;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "image/image.h"
+#include "image/planar.h"
 
 namespace sslic {
 
@@ -28,5 +29,12 @@ struct Point {
   friend bool operator==(const Point&, const Point&) = default;
 };
 Point argmin_gradient_3x3(const Image<float>& gradient, int x, int y);
+
+/// argmin_gradient_3x3(lab_gradient_magnitude(lab), x, y) for the frame
+/// whose channel planes are `planes` (any planes.stride): the gradient is
+/// evaluated only at the probed pixels of the clamped 3x3 neighbourhood,
+/// from one 5x5 Lab patch around it, with the same float expression, so
+/// the result is identical without an image-sized gradient plane.
+Point argmin_gradient_3x3(const LabPlanes& planes, int x, int y);
 
 }  // namespace sslic

@@ -20,9 +20,11 @@
 //                             per-label sigma registers (the software
 //                             analogue of the accelerator's tile-resident
 //                             cluster update unit).
-//   * srgb_to_lab_row         sRGB -> CIELAB over interleaved pixels, the
-//                             software counterpart of the accelerator's
-//                             colour-conversion unit; bit-identical to the
+//   * srgb_to_lab_row         sRGB -> CIELAB over pixels x_step apart into
+//                             three planar float rows, the software
+//                             counterpart of the accelerator's
+//                             colour-conversion unit writing its banked
+//                             channel memories; bit-identical to the
 //                             per-pixel reference srgb_to_lab(Rgb8)
 //                             (color/color_convert.h) for every 8-bit input.
 //
@@ -136,12 +138,16 @@ struct KernelTable {
                          std::int32_t count, std::int32_t y,
                          const std::int32_t* labels, Sigma* sigmas);
 
-  /// sRGB -> CIELAB: for i in [0, count), lab[i] = srgb_to_lab(rgb[i]) bit
-  /// for bit. `gamma` is the 256-entry srgb_gamma_table(). The cube root
-  /// is the glibc transcription lab_f uses; vector backends evaluate both
-  /// sides of lab_f's branch and blend.
-  void (*srgb_to_lab_row)(const Rgb8* rgb, std::int32_t count,
-                          const double* gamma, LabF* lab);
+  /// sRGB -> CIELAB: for i in [0, count), (L[i], a[i], b[i]) =
+  /// srgb_to_lab(rgb[x_step * i]) bit for bit, so one call converts one
+  /// stride phase of a row straight into its subset-major run
+  /// (image/planar.h). `gamma` is the 256-entry srgb_gamma_table(). Reads
+  /// only the bytes of pixels rgb[0 .. x_step * (count - 1)] and writes
+  /// only L/a/b[0 .. count). The cube root is the glibc transcription lab_f
+  /// uses; vector backends evaluate both sides of lab_f's branch and blend.
+  void (*srgb_to_lab_row)(const Rgb8* rgb, std::int32_t x_step,
+                          std::int32_t count, const double* gamma, float* L,
+                          float* a, float* b);
 };
 
 /// True when the backend for `isa` was compiled into this binary (the

@@ -118,21 +118,49 @@ struct Avx2Backend {
   }
 
   static VD div(VD a, VD b) { return _mm256_div_pd(a, b); }
-  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
-    // 4 pixels are 12 bytes; one byte shuffle zero-extends bytes c, 3+c,
-    // 6+c, 9+c into four i32 gather indices.
+  static void load_rgb(const Rgb8* p, std::int32_t step, const double* gamma,
+                       VD& r, VD& g, VD& b) {
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(p);
-    std::uint32_t tail = 0;
-    std::memcpy(&tail, bytes + 8, sizeof(tail));
-    const __m128i v = _mm_unpacklo_epi64(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes)),
-        _mm_cvtsi32_si128(static_cast<int>(tail)));
-    const auto k = static_cast<char>(c);
-    const __m128i pick = _mm_setr_epi8(
-        k, -1, -1, -1, static_cast<char>(3 + k), -1, -1, -1,
-        static_cast<char>(6 + k), -1, -1, -1, static_cast<char>(9 + k), -1,
-        -1, -1);
-    return gather(gamma, _mm_shuffle_epi8(v, pick));
+    if (step == 1) {
+      // 4 pixels are 12 bytes; one byte shuffle per channel zero-extends
+      // bytes c, 3+c, 6+c, 9+c into four i32 gather indices.
+      std::uint32_t tail = 0;
+      std::memcpy(&tail, bytes + 8, sizeof(tail));
+      const __m128i v = _mm_unpacklo_epi64(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes)),
+          _mm_cvtsi32_si128(static_cast<int>(tail)));
+      const auto channel = [&](int c) {
+        const auto k = static_cast<char>(c);
+        const __m128i pick = _mm_setr_epi8(
+            k, -1, -1, -1, static_cast<char>(3 + k), -1, -1, -1,
+            static_cast<char>(6 + k), -1, -1, -1, static_cast<char>(9 + k),
+            -1, -1, -1);
+        return gather(gamma, _mm_shuffle_epi8(v, pick));
+      };
+      r = channel(0);
+      g = channel(1);
+      b = channel(2);
+      return;
+    }
+    // Strided: one 32-bit gather per pixel. Lane 0 reads its pixel's bytes
+    // and the next byte (inside the span, as step >= 2); every other lane
+    // reads the byte before its pixel and its three bytes, then shifts the
+    // extra byte out. No byte outside the span is read.
+    const __m128i off = _mm_sub_epi32(
+        _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3), _mm_set1_epi32(3 * step)),
+        _mm_setr_epi32(0, 1, 1, 1));
+    const __m128i rgb = _mm_srlv_epi32(
+        _mm_mask_i32gather_epi32(_mm_setzero_si128(),
+                                 reinterpret_cast<const int*>(bytes), off,
+                                 _mm_set1_epi32(-1), 1),
+        _mm_setr_epi32(0, 8, 8, 8));
+    const __m128i byte = _mm_set1_epi32(0xff);
+    const auto channel = [&](int c) {
+      return gather(gamma, _mm_and_si128(_mm_srli_epi32(rgb, 8 * c), byte));
+    };
+    r = channel(0);
+    g = channel(1);
+    b = channel(2);
   }
   static VD mantissa(VD t) {
     return _mm256_castsi256_pd(_mm256_or_si256(
@@ -146,22 +174,8 @@ struct Avx2Backend {
     return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), table, idx,
                                     all_lanes(), 8);
   }
-  static void store_lab(LabF* p, VD L, VD a, VD b) {
-    // Interleave four (L, a, b) float triples into three 4-float stores.
-    const __m128 l = _mm256_cvtpd_ps(L);
-    const __m128 av = _mm256_cvtpd_ps(a);
-    const __m128 bv = _mm256_cvtpd_ps(b);
-    const __m128 la_lo = _mm_unpacklo_ps(l, av);  // L0 a0 L1 a1
-    const __m128 la_hi = _mm_unpackhi_ps(l, av);  // L2 a2 L3 a3
-    const __m128 b0l1 = _mm_shuffle_ps(bv, l, _MM_SHUFFLE(1, 1, 0, 0));
-    const __m128 a1b1 = _mm_shuffle_ps(av, bv, _MM_SHUFFLE(1, 1, 1, 1));
-    const __m128 b2l3 = _mm_shuffle_ps(bv, l, _MM_SHUFFLE(3, 3, 2, 2));
-    const __m128 a3b3 = _mm_shuffle_ps(av, bv, _MM_SHUFFLE(3, 3, 3, 3));
-    auto* out = reinterpret_cast<float*>(p);
-    _mm_storeu_ps(out, _mm_shuffle_ps(la_lo, b0l1, _MM_SHUFFLE(2, 0, 1, 0)));
-    _mm_storeu_ps(out + 4,
-                  _mm_shuffle_ps(a1b1, la_hi, _MM_SHUFFLE(1, 0, 2, 0)));
-    _mm_storeu_ps(out + 8, _mm_shuffle_ps(b2l3, a3b3, _MM_SHUFFLE(2, 0, 2, 0)));
+  static void store_f32(float* p, VD v) {
+    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
   }
 };
 

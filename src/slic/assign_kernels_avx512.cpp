@@ -120,20 +120,51 @@ struct Avx512Backend {
   }
 
   static VD div(VD a, VD b) { return _mm512_div_pd(a, b); }
-  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
-    // 8 pixels are 24 bytes: widen bytes 0..15 and 16..23 to i32, then a
-    // two-source permute picks bytes c, 3+c, ..., 21+c as gather indices.
+  static void load_rgb(const Rgb8* p, std::int32_t step, const double* gamma,
+                       VD& r, VD& g, VD& b) {
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(p);
-    const __m512i lo = _mm512_cvtepu8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)));
-    const __m512i hi = _mm512_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes + 16)));
-    const __m512i idx = _mm512_add_epi32(
-        _mm512_setr_epi32(0, 3, 6, 9, 12, 15, 18, 21, 0, 0, 0, 0, 0, 0, 0, 0),
-        _mm512_set1_epi32(c));
-    return _mm512_i32gather_pd(
-        _mm512_castsi512_si256(_mm512_permutex2var_epi32(lo, idx, hi)), gamma,
-        8);
+    if (step == 1) {
+      // 8 pixels are 24 bytes: widen bytes 0..15 and 16..23 to i32, then a
+      // two-source permute picks bytes c, 3+c, ..., 21+c as gather indices.
+      const __m512i lo = _mm512_cvtepu8_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)));
+      const __m512i hi = _mm512_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes + 16)));
+      const auto channel = [&](int c) {
+        const __m512i idx = _mm512_add_epi32(
+            _mm512_setr_epi32(0, 3, 6, 9, 12, 15, 18, 21, 0, 0, 0, 0, 0, 0, 0,
+                              0),
+            _mm512_set1_epi32(c));
+        return _mm512_i32gather_pd(
+            _mm512_castsi512_si256(_mm512_permutex2var_epi32(lo, idx, hi)),
+            gamma, 8);
+      };
+      r = channel(0);
+      g = channel(1);
+      b = channel(2);
+      return;
+    }
+    // Strided: one 32-bit gather per pixel. Lane 0 reads its pixel's bytes
+    // and the next byte (inside the span, as step >= 2); every other lane
+    // reads the byte before its pixel and its three bytes, then shifts the
+    // extra byte out. No byte outside the span is read.
+    const __m256i off = _mm256_sub_epi32(
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(3 * step)),
+        _mm256_setr_epi32(0, 1, 1, 1, 1, 1, 1, 1));
+    const __m256i rgb = _mm256_srlv_epi32(
+        _mm256_mask_i32gather_epi32(_mm256_setzero_si256(),
+                                    reinterpret_cast<const int*>(bytes), off,
+                                    _mm256_set1_epi32(-1), 1),
+        _mm256_setr_epi32(0, 8, 8, 8, 8, 8, 8, 8));
+    const __m256i byte = _mm256_set1_epi32(0xff);
+    const auto channel = [&](int c) {
+      return _mm512_i32gather_pd(
+          _mm256_and_si256(_mm256_srli_epi32(rgb, 8 * c), byte), gamma, 8);
+    };
+    r = channel(0);
+    g = channel(1);
+    b = channel(2);
   }
   static VD mantissa(VD t) {
     return _mm512_castsi512_pd(_mm512_or_si512(
@@ -146,19 +177,8 @@ struct Avx512Backend {
     return _mm512_permutexvar_pd(_mm512_srli_epi64(_mm512_castpd_si512(t), 52),
                                  _mm512_loadu_pd(table));
   }
-  static void store_lab(LabF* p, VD L, VD a, VD b) {
-    // [L0..L7 a0..a7] and [b0..b7] -> 24 interleaved floats.
-    const __m512 la = _mm512_insertf32x8(
-        _mm512_castps256_ps512(_mm512_cvtpd_ps(L)), _mm512_cvtpd_ps(a), 1);
-    const __m512 bz = _mm512_castps256_ps512(_mm512_cvtpd_ps(b));
-    const __m512i first = _mm512_setr_epi32(0, 8, 16, 1, 9, 17, 2, 10, 18, 3,
-                                            11, 19, 4, 12, 20, 5);
-    const __m512i rest =
-        _mm512_setr_epi32(13, 21, 6, 14, 22, 7, 15, 23, 0, 0, 0, 0, 0, 0, 0, 0);
-    auto* out = reinterpret_cast<float*>(p);
-    _mm512_storeu_ps(out, _mm512_permutex2var_ps(la, first, bz));
-    _mm256_storeu_ps(out + 16, _mm512_castps512_ps256(
-                                   _mm512_permutex2var_ps(la, rest, bz)));
+  static void store_f32(float* p, VD v) {
+    _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
   }
 };
 

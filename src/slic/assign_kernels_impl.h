@@ -21,11 +21,13 @@
 //     (arithmetic shift by a uniform runtime count), min_i32, cmplt_i32,
 //     select_i32, mask_i32_from_bytes, all_eq_i32 (every lane of a equals
 //     the corresponding lane of b).
-//   conversion path (kLanesF64 pixels): div, load_channel(p, gamma, c)
-//     (looks channel c of kLanesF64 interleaved Rgb8 pixels up in the
-//     256-entry gamma table), mantissa (frexp's xm in [0.5, 1) of a positive normal),
-//     exponent_lookup(t, table) = table[biased exponent of t mod 8],
-//     store_lab (narrow L/a/b to float and interleave into LabF).
+//   conversion path (kLanesF64 pixels): div, load_rgb(p, step, gamma, r,
+//     g, b) (looks the r, g, b channels of pixels p[0], p[step], ...,
+//     p[step * (kLanesF64 - 1)] up in the 256-entry gamma table, reading
+//     no byte outside that span), mantissa (frexp's xm in [0.5, 1) of a
+//     positive normal), exponent_lookup(t, table) = table[biased exponent
+//     of t mod 8], store_f32 (narrow kLanesF64 doubles to consecutive
+//     floats).
 //
 // The distance arithmetic mirrors DistanceCalculator::squared and
 // HwSlic::integer_distance term for term:
@@ -41,6 +43,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -106,8 +109,11 @@ struct ScalarBackend {
   static bool all_eq_i32(VI a, VI b) { return a == b; }
 
   static VD div(VD a, VD b) { return a / b; }
-  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
-    return gamma[reinterpret_cast<const std::uint8_t*>(p)[c]];
+  static void load_rgb(const Rgb8* p, std::int32_t /*step*/,
+                       const double* gamma, VD& r, VD& g, VD& b) {
+    r = gamma[p->r];
+    g = gamma[p->g];
+    b = gamma[p->b];
   }
   static VD mantissa(VD t) {
     const auto bits = std::bit_cast<std::uint64_t>(t);
@@ -116,11 +122,7 @@ struct ScalarBackend {
   static VD exponent_lookup(VD t, const double* table) {
     return table[(std::bit_cast<std::uint64_t>(t) >> 52) & 7];
   }
-  static void store_lab(LabF* p, VD L, VD a, VD b) {
-    p->L = static_cast<float>(L);
-    p->a = static_cast<float>(a);
-    p->b = static_cast<float>(b);
-  }
+  static void store_f32(float* p, VD v) { *p = static_cast<float>(v); }
 };
 
 template <typename B>
@@ -441,8 +443,8 @@ inline constexpr std::array<double, 8> kCbrtScale = [] {
   return scale;
 }();
 static_assert(kReferenceWhite[1] == 1.0, "srgb_to_lab_row skips y / Yr");
-// The backends address pixels as packed bytes and floats.
-static_assert(sizeof(Rgb8) == 3 && sizeof(LabF) == 3 * sizeof(float));
+// The backends address pixels as packed bytes.
+static_assert(sizeof(Rgb8) == 3);
 
 template <typename B>
 typename B::VD lab_f_impl(typename B::VD t) {
@@ -466,32 +468,34 @@ typename B::VD lab_f_impl(typename B::VD t) {
 }
 
 template <typename B>
-void srgb_to_lab_row_impl(const Rgb8* rgb, std::int32_t count,
-                          const double* gamma, LabF* lab) {
+void srgb_to_lab_row_impl(const Rgb8* rgb, std::int32_t x_step,
+                          std::int32_t count, const double* gamma, float* L,
+                          float* a, float* b) {
   constexpr std::int32_t kL = B::kLanesF64;
+  const auto step = static_cast<std::ptrdiff_t>(x_step);
   std::int32_t i = 0;
   for (; i + kL <= count; i += kL) {
-    const auto r = B::load_channel(rgb + i, gamma, 0);
-    const auto g = B::load_channel(rgb + i, gamma, 1);
-    const auto b = B::load_channel(rgb + i, gamma, 2);
+    typename B::VD red, green, blue;
+    B::load_rgb(rgb + step * i, x_step, gamma, red, green, blue);
     const auto row = [&](std::size_t m) {
-      return B::add(B::add(B::mul(B::set1_f64(kSrgbToXyz[m]), r),
-                           B::mul(B::set1_f64(kSrgbToXyz[m + 1]), g)),
-                    B::mul(B::set1_f64(kSrgbToXyz[m + 2]), b));
+      return B::add(B::add(B::mul(B::set1_f64(kSrgbToXyz[m]), red),
+                           B::mul(B::set1_f64(kSrgbToXyz[m + 1]), green)),
+                    B::mul(B::set1_f64(kSrgbToXyz[m + 2]), blue));
     };
     const auto fx =
         lab_f_impl<B>(B::div(row(0), B::set1_f64(kReferenceWhite[0])));
     const auto fy = lab_f_impl<B>(row(3));
     const auto fz =
         lab_f_impl<B>(B::div(row(6), B::set1_f64(kReferenceWhite[2])));
-    B::store_lab(lab + i,
-                 B::sub(B::mul(B::set1_f64(116.0), fy), B::set1_f64(16.0)),
-                 B::mul(B::set1_f64(500.0), B::sub(fx, fy)),
-                 B::mul(B::set1_f64(200.0), B::sub(fy, fz)));
+    B::store_f32(L + i,
+                 B::sub(B::mul(B::set1_f64(116.0), fy), B::set1_f64(16.0)));
+    B::store_f32(a + i, B::mul(B::set1_f64(500.0), B::sub(fx, fy)));
+    B::store_f32(b + i, B::mul(B::set1_f64(200.0), B::sub(fy, fz)));
   }
   if constexpr (kL > 1) {
     if (i < count)
-      srgb_to_lab_row_impl<ScalarBackend>(rgb + i, count - i, gamma, lab + i);
+      srgb_to_lab_row_impl<ScalarBackend>(rgb + step * i, x_step, count - i,
+                                          gamma, L + i, a + i, b + i);
   }
 }
 

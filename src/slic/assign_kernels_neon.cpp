@@ -89,10 +89,13 @@ struct NeonBackend {
   }
 
   static VD div(VD a, VD b) { return vdivq_f64(a, b); }
-  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p) + c;
-    return vcombine_f64(vdup_n_f64(gamma[bytes[0]]),
-                        vdup_n_f64(gamma[bytes[3]]));
+  static void load_rgb(const Rgb8* p, std::int32_t step, const double* gamma,
+                       VD& r, VD& g, VD& b) {
+    const Rgb8& p0 = p[0];
+    const Rgb8& p1 = p[step];
+    r = vcombine_f64(vdup_n_f64(gamma[p0.r]), vdup_n_f64(gamma[p1.r]));
+    g = vcombine_f64(vdup_n_f64(gamma[p0.g]), vdup_n_f64(gamma[p1.g]));
+    b = vcombine_f64(vdup_n_f64(gamma[p0.b]), vdup_n_f64(gamma[p1.b]));
   }
   static VD mantissa(VD t) {
     const uint64x2_t bits = vorrq_u64(
@@ -106,14 +109,7 @@ struct NeonBackend {
     return vcombine_f64(vdup_n_f64(table[vgetq_lane_u64(idx, 0)]),
                         vdup_n_f64(table[vgetq_lane_u64(idx, 1)]));
   }
-  static void store_lab(LabF* p, VD L, VD a, VD b) {
-    // vst3 interleaves the two (L, a, b) float triples.
-    float32x2x3_t lab;
-    lab.val[0] = vcvt_f32_f64(L);
-    lab.val[1] = vcvt_f32_f64(a);
-    lab.val[2] = vcvt_f32_f64(b);
-    vst3_f32(reinterpret_cast<float*>(p), lab);
-  }
+  static void store_f32(float* p, VD v) { vst1_f32(p, vcvt_f32_f64(v)); }
 };
 
 }  // namespace

@@ -121,9 +121,13 @@ struct Sse2Backend {
   }
 
   static VD div(VD a, VD b) { return _mm_div_pd(a, b); }
-  static VD load_channel(const Rgb8* p, const double* gamma, int c) {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p) + c;
-    return _mm_setr_pd(gamma[bytes[0]], gamma[bytes[3]]);
+  static void load_rgb(const Rgb8* p, std::int32_t step, const double* gamma,
+                       VD& r, VD& g, VD& b) {
+    const Rgb8& p0 = p[0];
+    const Rgb8& p1 = p[step];
+    r = _mm_setr_pd(gamma[p0.r], gamma[p1.r]);
+    g = _mm_setr_pd(gamma[p0.g], gamma[p1.g]);
+    b = _mm_setr_pd(gamma[p0.b], gamma[p1.b]);
   }
   static VD mantissa(VD t) {
     return _mm_or_pd(
@@ -135,13 +139,8 @@ struct Sse2Backend {
     std::memcpy(bits, &t, sizeof(bits));
     return _mm_setr_pd(table[(bits[0] >> 52) & 7], table[(bits[1] >> 52) & 7]);
   }
-  static void store_lab(LabF* p, VD L, VD a, VD b) {
-    float l[4] = {}, av[4] = {}, bv[4] = {};
-    _mm_storeu_ps(l, _mm_cvtpd_ps(L));
-    _mm_storeu_ps(av, _mm_cvtpd_ps(a));
-    _mm_storeu_ps(bv, _mm_cvtpd_ps(b));
-    p[0] = {l[0], av[0], bv[0]};
-    p[1] = {l[1], av[1], bv[1]};
+  static void store_f32(float* p, VD v) {
+    _mm_storel_pi(reinterpret_cast<__m64*>(p), _mm_cvtpd_ps(v));
   }
 };
 

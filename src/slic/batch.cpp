@@ -47,7 +47,6 @@ void BatchSegmenter::ensure_slots(std::size_t count) {
     results_.resize(count);
     instrumentation_.resize(count);
     scratch_.resize(count);
-    lab_.resize(count);
   }
 }
 
@@ -76,19 +75,24 @@ void BatchSegmenter::run_batch(std::size_t count, bool frames_are_rgb,
   const auto run_frame = [&](std::size_t i) {
     const trace::FrameScope frame_scope(ambient_trace_id);
     SSLIC_TRACE_SCOPE_AT(1, "batch.frame", static_cast<std::int64_t>(i));
-    const LabImage* frame = nullptr;
-    if (frames_are_rgb) {
-      srgb_to_lab(rgb_frames[i], lab_[i]);
-      frame = &lab_[i];
-    } else {
-      frame = lab_frames + i;
-    }
+    Segmentation& result = results_[i];
+    IterationScratch& scratch = scratch_[i];
+    Instrumentation* instr = &instrumentation_[i];
+    // RGB frames convert straight into the segmenter's planes: no
+    // interleaved Lab copy.
     if (algorithm_ == Algorithm::kCpa) {
-      cpa_.segment_lab_into(*frame, results_[i], scratch_[i], {},
-                            &instrumentation_[i], nullptr);
+      if (frames_are_rgb) {
+        srgb_to_lab(rgb_frames[i], scratch.planes, 1);
+        cpa_.segment_planes_into(scratch.planes, result, scratch, {}, instr);
+      } else {
+        cpa_.segment_lab_into(lab_frames[i], result, scratch, {}, instr);
+      }
+    } else if (frames_are_rgb) {
+      srgb_to_lab(rgb_frames[i], scratch.planes, ppa_.stride());
+      ppa_.segment_planes_into(scratch.planes, nullptr, result, scratch, {},
+                               instr);
     } else {
-      ppa_.segment_lab_into(*frame, results_[i], scratch_[i], {},
-                            &instrumentation_[i], nullptr);
+      ppa_.segment_lab_into(lab_frames[i], result, scratch, {}, instr);
     }
     batch_frames_done_->add();
   };

@@ -12,8 +12,9 @@
 // determinism contract, so batch results are byte-equal to the
 // corresponding single-frame segmentations at any thread count.
 //
-// Per-stream state (Segmentation, IterationScratch, Lab buffer,
-// Instrumentation) is pooled by slot index: a steady-state caller that
+// Per-stream state (Segmentation, IterationScratch — whose planes are the
+// RGB path's conversion target — and Instrumentation) is pooled by slot
+// index: a steady-state caller that
 // feeds batches of the same size and geometry runs allocation-free after
 // the first batch (asserted by tests/test_fused.cpp).
 #pragma once
@@ -51,8 +52,8 @@ class BatchSegmenter {
     segment_lab_batch(frames.data(), frames.size());
   }
 
-  /// RGB batch: converts each frame into a per-slot Lab buffer (reused
-  /// across batches), then segments as above.
+  /// RGB batch: converts each frame straight into its slot's Lab planes
+  /// (reused across batches), then segments as above.
   void segment_batch(const RgbImage* frames, std::size_t count);
   void segment_batch(const std::vector<RgbImage>& frames) {
     segment_batch(frames.data(), frames.size());
@@ -105,7 +106,6 @@ class BatchSegmenter {
   std::vector<Segmentation> results_;
   std::vector<Instrumentation> instrumentation_;
   std::vector<IterationScratch> scratch_;
-  std::vector<LabImage> lab_;  ///< RGB-path conversion buffers
 };
 
 }  // namespace sslic

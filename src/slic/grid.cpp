@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "image/gradient.h"
 
 namespace sslic {
@@ -37,6 +38,12 @@ int CenterGrid::cell_x_begin(int gx) const {
       (static_cast<std::int64_t>(gx) * width_ + nx_ - 1) / nx_);
 }
 
+int CenterGrid::cell_y_begin(int gy) const {
+  SSLIC_DCHECK(gy >= 0 && gy <= ny_);
+  return static_cast<int>(
+      (static_cast<std::int64_t>(gy) * height_ + ny_ - 1) / ny_);
+}
+
 std::int32_t CenterGrid::center_index(int gx, int gy) const {
   SSLIC_DCHECK(gx >= 0 && gx < nx_ && gy >= 0 && gy < ny_);
   return static_cast<std::int32_t>(gy) * nx_ + gx;
@@ -59,15 +66,15 @@ std::vector<ClusterCenter> seed_centers(const CenterGrid& grid,
   return centers;
 }
 
-void seed_centers(const CenterGrid& grid, const LabImage& lab,
-                  bool perturb_to_gradient_minimum,
-                  std::vector<ClusterCenter>& centers,
-                  Image<float>& gradient_scratch) {
-  SSLIC_CHECK(lab.width() == grid.width() && lab.height() == grid.height());
-  const Image<float>& gradient = gradient_scratch;
-  if (perturb_to_gradient_minimum)
-    lab_gradient_magnitude(lab, gradient_scratch);
+namespace {
 
+/// The seeding loop shared by both entry points: `argmin(px, py)` is the
+/// 3x3 gradient minimum around a grid position and `color(px, py)` the Lab
+/// colour of a pixel.
+template <typename Argmin, typename Color>
+void seed_grid(const CenterGrid& grid, bool perturb_to_gradient_minimum,
+               std::vector<ClusterCenter>& centers, const Argmin& argmin,
+               const Color& color) {
   centers.resize(static_cast<std::size_t>(grid.num_centers()));
   for (int gy = 0; gy < grid.ny(); ++gy) {
     for (int gx = 0; gx < grid.nx(); ++gx) {
@@ -76,18 +83,49 @@ void seed_centers(const CenterGrid& grid, const LabImage& lab,
       int py = std::clamp(static_cast<int>(grid.center_pos_y(gy)), 0,
                           grid.height() - 1);
       if (perturb_to_gradient_minimum) {
-        const Point p = argmin_gradient_3x3(gradient, px, py);
+        const Point p = argmin(px, py);
         px = p.x;
         py = p.y;
       }
-      const LabF& color = lab(px, py);
-      ClusterCenter& c =
-          centers[static_cast<std::size_t>(grid.center_index(gx, gy))];
-      c = {static_cast<double>(color.L), static_cast<double>(color.a),
-           static_cast<double>(color.b), static_cast<double>(px),
-           static_cast<double>(py)};
+      const LabF c = color(px, py);
+      centers[static_cast<std::size_t>(grid.center_index(gx, gy))] = {
+          static_cast<double>(c.L), static_cast<double>(c.a),
+          static_cast<double>(c.b), static_cast<double>(px),
+          static_cast<double>(py)};
     }
   }
+}
+
+}  // namespace
+
+void seed_centers(const CenterGrid& grid, const LabImage& lab,
+                  bool perturb_to_gradient_minimum,
+                  std::vector<ClusterCenter>& centers,
+                  Image<float>& gradient_scratch) {
+  SSLIC_CHECK(lab.width() == grid.width() && lab.height() == grid.height());
+  if (perturb_to_gradient_minimum)
+    lab_gradient_magnitude(lab, gradient_scratch);
+  seed_grid(
+      grid, perturb_to_gradient_minimum, centers,
+      [&](int px, int py) {
+        return argmin_gradient_3x3(gradient_scratch, px, py);
+      },
+      [&](int px, int py) { return lab(px, py); });
+}
+
+void seed_centers(const CenterGrid& grid, const LabPlanes& planes,
+                  bool perturb_to_gradient_minimum,
+                  std::vector<ClusterCenter>& centers) {
+  SSLIC_CHECK(planes.width() == grid.width() &&
+              planes.height() == grid.height());
+  const SubsetMajorRow layout{planes.width(), planes.stride};
+  seed_grid(
+      grid, perturb_to_gradient_minimum, centers,
+      [&](int px, int py) { return argmin_gradient_3x3(planes, px, py); },
+      [&](int px, int py) {
+        const int pos = layout.position(px);
+        return LabF{planes.L(pos, py), planes.a(pos, py), planes.b(pos, py)};
+      });
 }
 
 std::vector<CandidateList> build_candidate_map(const CenterGrid& grid) {
@@ -116,14 +154,42 @@ LabelImage initial_labels(const CenterGrid& grid) {
   return labels;
 }
 
-void initial_labels(const CenterGrid& grid, LabelImage& labels) {
-  if (labels.width() != grid.width() || labels.height() != grid.height())
-    labels = LabelImage(grid.width(), grid.height());
-  for (int y = 0; y < grid.height(); ++y) {
-    const int gy = grid.cell_y(y);
-    for (int x = 0; x < grid.width(); ++x)
-      labels(x, y) = grid.center_index(grid.cell_x(x), gy);
+void initial_labels(const CenterGrid& grid, LabelImage& labels, int stride) {
+  SSLIC_CHECK(stride >= 1);
+  const int w = grid.width();
+  const int h = grid.height();
+  if (labels.width() != w || labels.height() != h) labels = LabelImage(w, h);
+  // Row 0 (grid row 0, so its labels are the grid columns): each stride
+  // phase's columns p, p + stride, ... are one contiguous run of the
+  // subset-major row, and cell_x is non-decreasing along it, so the run
+  // splits into one constant run per grid column.
+  const SubsetMajorRow layout{w, stride};
+  std::int32_t* const row0 = labels.data();
+  for (int p = 0; p < stride && p < w; ++p) {
+    std::int32_t* out = row0 + layout.offset(p);
+    int x = p;
+    for (int gx = 0; gx < grid.nx() && x < w; ++gx) {
+      const int end = grid.cell_x_begin(gx + 1);
+      for (; x < end; x += stride) *out++ = gx;
+    }
   }
+  // Every other row is row 0 plus its grid row's first center index: built
+  // once per grid row, then copied to the rest of the grid row's rows.
+  const auto wz = static_cast<std::size_t>(w);
+  parallel_for(0, grid.ny(), [&](std::int64_t glo, std::int64_t ghi) {
+    for (auto gy = static_cast<int>(glo); gy < static_cast<int>(ghi); ++gy) {
+      const int y0 = grid.cell_y_begin(gy);
+      const int y1 = grid.cell_y_begin(gy + 1);
+      if (y0 >= y1) continue;
+      std::int32_t* const first = row0 + static_cast<std::size_t>(y0) * wz;
+      if (gy != 0) {
+        const std::int32_t base = grid.center_index(0, gy);
+        for (std::size_t i = 0; i < wz; ++i) first[i] = row0[i] + base;
+      }
+      for (int y = y0 + 1; y < y1; ++y)
+        std::copy(first, first + wz, row0 + static_cast<std::size_t>(y) * wz);
+    }
+  });
 }
 
 }  // namespace sslic

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "image/image.h"
+#include "image/planar.h"
 #include "slic/types.h"
 
 namespace sslic {
@@ -37,7 +38,13 @@ class CenterGrid {
 
   /// First column of grid column gx: cell_x(x) == gx exactly for x in
   /// [cell_x_begin(gx), cell_x_begin(gx + 1)); gx == nx() gives width().
+  /// This is the ceil form ceil(gx * width / nx); the PPA tile partition
+  /// x in [gx*w/nx, (gx+1)*w/nx) (build_column_map) is the floor form, and
+  /// the two differ at most boundaries.
   [[nodiscard]] int cell_x_begin(int gx) const;
+  /// First row of grid row gy, the same way: cell_y(y) == gy exactly for y
+  /// in [cell_y_begin(gy), cell_y_begin(gy + 1)).
+  [[nodiscard]] int cell_y_begin(int gy) const;
 
   /// Flat center index of grid cell (gx, gy).
   [[nodiscard]] std::int32_t center_index(int gx, int gy) const;
@@ -69,6 +76,16 @@ void seed_centers(const CenterGrid& grid, const LabImage& lab,
                   std::vector<ClusterCenter>& centers,
                   Image<float>& gradient_scratch);
 
+/// Frame-path seeding from channel planes in any subset-major layout
+/// (planes.stride): identical to seed_centers(grid, lab, perturb, ...) on
+/// the interleaved image the planes hold, but reads colours straight from
+/// the planes and evaluates the gradient only on each seed's clamped 3x3
+/// neighbourhood (argmin_gradient_3x3(const LabPlanes&, ...)), so it needs
+/// no gradient plane. Fills `centers` without allocating once sized.
+void seed_centers(const CenterGrid& grid, const LabPlanes& planes,
+                  bool perturb_to_gradient_minimum,
+                  std::vector<ClusterCenter>& centers);
+
 /// The 9 candidate center indices of one tile (grid cell). Border tiles
 /// clamp out-of-range neighbours, producing duplicate candidates — exactly
 /// what the hardware's fixed 9-entry center registers do.
@@ -83,7 +100,12 @@ std::vector<CandidateList> build_candidate_map(const CenterGrid& grid);
 LabelImage initial_labels(const CenterGrid& grid);
 
 /// In-place variant: fills `labels`, resizing only when the dimensions
-/// change (allocation-free at steady state).
-void initial_labels(const CenterGrid& grid, LabelImage& labels);
+/// change (allocation-free at steady state). Rows are stored subset-major
+/// with `stride` (image/planar.h; PpaSlic's working labels); the default
+/// of 1 is the natural row-major order. Grid row 0's row is filled as runs
+/// between cell_x_begin boundaries, and every other row is that row
+/// offset by its grid row's first center index.
+void initial_labels(const CenterGrid& grid, LabelImage& labels,
+                    int stride = 1);
 
 }  // namespace sslic

@@ -1,12 +1,19 @@
 // Reusable per-run working state of the SLIC segmenters.
 //
-// Every buffer a segmentation run needs — the min-distance plane, planar
-// channel splits, per-band sigma pools, subset-major labels, connectivity
-// worklists — lives here instead of on the stack of segment_lab(), so a
-// caller that keeps one IterationScratch across frames (TemporalSlic, the
-// video pipeline, the fused-iteration bench) pays the allocations once and
-// runs every later frame of the same geometry with zero heap allocations
-// (tests/test_fused.cpp asserts this with a counting operator new).
+// Every buffer a segmentation run needs — the Lab channel planes, the
+// min-distance plane, per-band sigma pools, subset-major labels,
+// connectivity worklists — lives here instead of on the stack of
+// segment_lab(), so a caller that keeps one IterationScratch across frames
+// (TemporalSlic, StreamEngine, BatchSegmenter, the fused-iteration bench)
+// pays the allocations once and runs every later frame of the same
+// geometry with zero heap allocations (tests/test_fused.cpp asserts this
+// with a counting operator new).
+//
+// `planes` is the frame's only Lab buffer on the frame path: the RGB entry
+// points convert straight into it (srgb_to_lab(const RgbImage&,
+// LabPlanes&, int)) in the segmenter's layout, and the LabImage entry
+// points split into it; either way the segmenter's planes core then reads
+// it. There is no interleaved copy and no image-sized gradient plane.
 //
 // All sizing is idempotent: buffers are grown on first use per geometry and
 // merely re-filled afterwards (std::vector::assign and Image::fill do not
@@ -85,10 +92,9 @@ inline void fill_column_operands(const CenterGrid& grid,
 struct IterationScratch {
   // --- Shared by CPA and PPA ---
   std::vector<Sigma> sigmas;  ///< merged sigma registers (K entries)
-  /// Planar split feeding the row kernels: row-major for CPA, subset-major
-  /// with the schedule's stride for PPA (image/planar.h).
+  /// The frame's Lab channel planes, in the segmenter's layout: row-major
+  /// for CPA, subset-major with PpaSlic::stride() for PPA (image/planar.h).
   LabPlanes planes;
-  Image<float> gradient;         ///< center-perturbation pass (seed_centers)
   ConnectivityScratch connectivity;
 
   // --- CPA (slic_baseline.cpp) ---
@@ -101,7 +107,8 @@ struct IterationScratch {
   std::vector<std::vector<Sigma>> band_sigmas;
 
   // --- PPA (subsampled.cpp) ---
-  LabImage stored;  ///< quantized image copy (data widths below float only)
+  /// Quantized copy of `planes`, same layout (data widths below float only).
+  LabPlanes stored;
   LabelImage subset_labels;  ///< labels in subset-major order, per iteration
   std::vector<std::uint8_t> frozen;  ///< preemptive: converged centers
   std::vector<std::uint8_t> calm_streak;

@@ -31,13 +31,16 @@ Segmentation CpaSlic::segment(const RgbImage& image,
                               const IterationCallback& callback,
                               Instrumentation* instrumentation,
                               PhaseTimer* phases) const {
-  LabImage lab;
+  Segmentation result;
+  IterationScratch scratch;
   {
     Stopwatch watch;
-    lab = srgb_to_lab(image);
+    srgb_to_lab(image, scratch.planes, 1);
     if (phases != nullptr) phases->add(kPhaseColorConversion, watch.elapsed_ms());
   }
-  return segment_lab(lab, callback, instrumentation, phases);
+  segment_planes_into(scratch.planes, result, scratch, callback,
+                      instrumentation, phases);
+  return result;
 }
 
 Segmentation CpaSlic::segment_lab(const LabImage& lab,
@@ -56,11 +59,25 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                Instrumentation* instrumentation,
                                PhaseTimer* phases) const {
   SSLIC_CHECK(!lab.empty());
+  split_lab_planes(lab, scratch.planes);
+  segment_planes_into(scratch.planes, result, scratch, callback,
+                      instrumentation, phases);
+}
+
+void CpaSlic::segment_planes_into(const LabPlanes& planes, Segmentation& result,
+                                  IterationScratch& scratch,
+                                  const IterationCallback& callback,
+                                  Instrumentation* instrumentation,
+                                  PhaseTimer* phases) const {
+  SSLIC_CHECK(!planes.empty());
+  SSLIC_CHECK_MSG(planes.stride == 1,
+                  "CpaSlic reads row-major planes, got stride "
+                      << planes.stride);
   SSLIC_TRACE_SCOPE("cpa.segment");
   SSLIC_PERF_SCOPE("cpa.segment");
-  const int w = lab.width();
-  const int h = lab.height();
-  const std::size_t n = lab.size();
+  const int w = planes.width();
+  const int h = planes.height();
+  const std::size_t n = planes.L.size();
 
   Instrumentation local_instr;
   Instrumentation& instr = instrumentation != nullptr ? *instrumentation : local_instr;
@@ -78,12 +95,16 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
   const int num_centers = grid.num_centers();
   const auto num_centers_z = static_cast<std::size_t>(num_centers);
 
-  seed_centers(grid, lab, params_.perturb_centers, result.centers,
-               scratch.gradient);
+  seed_centers(grid, planes, params_.perturb_centers, result.centers);
   initial_labels(grid, result.labels);
   result.iterations_run = 0;
   result.trace.clear();
   result.trace.reserve(static_cast<std::size_t>(params_.max_iterations));
+
+  const auto lab_at = [&](std::size_t flat) {
+    return LabF{planes.L.data()[flat], planes.a.data()[flat],
+                planes.b.data()[flat]};
+  };
 
   // Persistent minimum-distance buffer ("two memory buffers as large as the
   // image", paper Section 2). For full SLIC it is reset every iteration.
@@ -102,7 +123,8 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
               static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
               static_cast<std::size_t>(x);
           const auto label = static_cast<std::size_t>(labels_ptr[flat]);
-          min_dist[flat] = dist.squared(lab(x, y), x, y, result.centers[label]);
+          min_dist[flat] = dist.squared(lab_at(flat), x, y,
+                                        result.centers[label]);
         }
       }
     });
@@ -128,11 +150,9 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
       std::min<std::size_t>(detail::kReduceChunks, static_cast<std::size_t>(h));
   if (fused) scratch.ensure_band_sigmas(bands, num_centers_z);
 
-  // One planar split per frame feeds the vectorized assignment kernels
-  // (SoA channel planes; see image/planar.h). Resolved kernel table is
-  // fetched once — dispatch never runs inside the pixel loops.
-  split_lab_planes(lab, scratch.planes);
-  const LabPlanes& planes = scratch.planes;
+  // The planar channel planes feed the vectorized assignment kernels
+  // (image/planar.h). Resolved kernel table is fetched once — dispatch
+  // never runs inside the pixel loops.
   const kernels::KernelTable& kt = kernels::table_for(kernels::active_isa());
   const double spatial_weight = dist.spatial_weight();
   if (phases != nullptr) phases->add(kPhaseOther, init_watch.elapsed_ms());
@@ -319,7 +339,11 @@ void CpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
             for (int y = static_cast<int>(ylo); y < static_cast<int>(yhi); ++y) {
               for (int x = 0; x < w; ++x) {
                 const auto label = static_cast<std::size_t>(result.labels(x, y));
-                partial[label].add(lab(x, y), x, y);
+                partial[label].add(
+                    lab_at(static_cast<std::size_t>(y) *
+                               static_cast<std::size_t>(w) +
+                           static_cast<std::size_t>(x)),
+                    x, y);
               }
             }
           },

@@ -38,15 +38,26 @@ class CpaSlic {
                                          Instrumentation* instrumentation = nullptr,
                                          PhaseTimer* phases = nullptr) const;
 
-  /// Buffer-reusing variant: writes into `result` and draws every working
-  /// buffer from `scratch`. Repeated calls at an unchanged geometry reuse
-  /// all prior allocations and run with zero heap allocations (seeding
-  /// included). Results are identical to segment_lab.
+  /// Buffer-reusing variant: splits `lab` into scratch.planes and runs
+  /// segment_planes_into, writing into `result`. Repeated calls at an
+  /// unchanged geometry reuse all prior allocations and run with zero heap
+  /// allocations (seeding included). Results are identical to segment_lab.
   void segment_lab_into(const LabImage& lab, Segmentation& result,
                         IterationScratch& scratch,
                         const IterationCallback& callback = {},
                         Instrumentation* instrumentation = nullptr,
                         PhaseTimer* phases = nullptr) const;
+
+  /// The core every entry point runs. `planes` holds the frame in the
+  /// natural row-major layout (planes.stride must be 1) — what
+  /// srgb_to_lab(rgb, planes, 1) produces. `planes` may be
+  /// `scratch.planes`; the core never writes it. Results are byte-identical
+  /// to segment_lab on the same frame.
+  void segment_planes_into(const LabPlanes& planes, Segmentation& result,
+                           IterationScratch& scratch,
+                           const IterationCallback& callback = {},
+                           Instrumentation* instrumentation = nullptr,
+                           PhaseTimer* phases = nullptr) const;
 
   [[nodiscard]] const SlicParams& params() const { return params_; }
 

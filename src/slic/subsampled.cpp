@@ -19,7 +19,11 @@
 namespace sslic {
 
 PpaSlic::PpaSlic(SlicParams params, DataWidth data_width)
-    : params_(params), data_width_(data_width) {
+    : params_(params),
+      data_width_(data_width),
+      stride_(SubsetSchedule::from_ratio(params_.subsample_ratio,
+                                         params_.subset_pattern)
+                  .stride()) {
   SSLIC_CHECK(params_.num_superpixels >= 1);
   SSLIC_CHECK(params_.compactness > 0.0);
   SSLIC_CHECK(params_.max_iterations >= 1);
@@ -29,14 +33,17 @@ Segmentation PpaSlic::segment(const RgbImage& image,
                               const IterationCallback& callback,
                               Instrumentation* instrumentation,
                               PhaseTimer* phases) const {
-  LabImage lab;
+  Segmentation result;
+  IterationScratch scratch;
   {
     Stopwatch watch;
-    lab = srgb_to_lab(image);
+    srgb_to_lab(image, scratch.planes, stride_);
     if (phases != nullptr)
       phases->add(CpaSlic::kPhaseColorConversion, watch.elapsed_ms());
   }
-  return segment_lab(lab, callback, instrumentation, phases);
+  segment_planes_into(scratch.planes, nullptr, result, scratch, callback,
+                      instrumentation, phases);
+  return result;
 }
 
 Segmentation PpaSlic::segment_lab(const LabImage& lab,
@@ -45,7 +52,7 @@ Segmentation PpaSlic::segment_lab(const LabImage& lab,
                                   PhaseTimer* phases) const {
   Segmentation result;
   IterationScratch scratch;
-  segment_impl(lab, nullptr, result, scratch, callback, instrumentation, phases);
+  segment_lab_into(lab, result, scratch, callback, instrumentation, phases);
   return result;
 }
 
@@ -55,8 +62,8 @@ Segmentation PpaSlic::segment_lab_warm(
     PhaseTimer* phases) const {
   Segmentation result;
   IterationScratch scratch;
-  segment_impl(lab, &initial_centers, result, scratch, callback,
-               instrumentation, phases);
+  segment_lab_warm_into(lab, initial_centers, result, scratch, callback,
+                        instrumentation, phases);
   return result;
 }
 
@@ -65,8 +72,10 @@ void PpaSlic::segment_lab_into(const LabImage& lab, Segmentation& result,
                                const IterationCallback& callback,
                                Instrumentation* instrumentation,
                                PhaseTimer* phases) const {
-  segment_impl(lab, nullptr, result, scratch, callback, instrumentation,
-               phases);
+  SSLIC_CHECK(!lab.empty());
+  split_lab_planes(lab, scratch.planes, stride_);
+  segment_planes_into(scratch.planes, nullptr, result, scratch, callback,
+                      instrumentation, phases);
 }
 
 void PpaSlic::segment_lab_warm_into(
@@ -74,21 +83,28 @@ void PpaSlic::segment_lab_warm_into(
     Segmentation& result, IterationScratch& scratch,
     const IterationCallback& callback, Instrumentation* instrumentation,
     PhaseTimer* phases) const {
-  segment_impl(lab, &initial_centers, result, scratch, callback,
-               instrumentation, phases);
+  SSLIC_CHECK(!lab.empty());
+  split_lab_planes(lab, scratch.planes, stride_);
+  segment_planes_into(scratch.planes, &initial_centers, result, scratch,
+                      callback, instrumentation, phases);
 }
 
-void PpaSlic::segment_impl(const LabImage& lab,
-                           const std::vector<ClusterCenter>* warm_centers,
-                           Segmentation& result, IterationScratch& scratch,
-                           const IterationCallback& callback,
-                           Instrumentation* instrumentation,
-                           PhaseTimer* phases) const {
-  SSLIC_CHECK(!lab.empty());
+void PpaSlic::segment_planes_into(const LabPlanes& lab_planes,
+                                  const std::vector<ClusterCenter>* warm_centers,
+                                  Segmentation& result,
+                                  IterationScratch& scratch,
+                                  const IterationCallback& callback,
+                                  Instrumentation* instrumentation,
+                                  PhaseTimer* phases) const {
+  SSLIC_CHECK(!lab_planes.empty());
+  SSLIC_CHECK_MSG(lab_planes.stride == stride_,
+                  "planes stored at stride " << lab_planes.stride
+                                             << ", PpaSlic reads stride "
+                                             << stride_);
   SSLIC_TRACE_SCOPE("ppa.segment");
   SSLIC_PERF_SCOPE("ppa.segment");
-  const int w = lab.width();
-  const int h = lab.height();
+  const int w = lab_planes.width();
+  const int h = lab_planes.height();
 
   Instrumentation local_instr;
   Instrumentation& instr = instrumentation != nullptr ? *instrumentation : local_instr;
@@ -106,14 +122,25 @@ void PpaSlic::segment_impl(const LabImage& lab,
 
   // Model n-bit storage: the image (and, after every update, the centers)
   // are held at the configured data width. At full float width the input
-  // image is already in stored form — no copy needed.
-  const LabImage* stored_ptr = &lab;
+  // planes are already in stored form — no copy needed. Quantization is
+  // per channel, so the copy keeps the planes' layout.
+  const LabPlanes* stored_ptr = &lab_planes;
   if (data_width_.color_bits != 0) {
-    scratch.stored = lab;
-    for (auto& px : scratch.stored.pixels()) px = dist.quantize(px);
-    stored_ptr = &scratch.stored;
+    LabPlanes& q = scratch.stored;
+    if (q.width() != w || q.height() != h) q = LabPlanes(w, h);
+    q.stride = lab_planes.stride;
+    const std::size_t n = lab_planes.L.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const LabF px = dist.quantize(
+          {lab_planes.L.data()[i], lab_planes.a.data()[i],
+           lab_planes.b.data()[i]});
+      q.L.data()[i] = px.L;
+      q.a.data()[i] = px.a;
+      q.b.data()[i] = px.b;
+    }
+    stored_ptr = &q;
   }
-  const LabImage& stored = *stored_ptr;
+  const LabPlanes& planes = *stored_ptr;
 
   if (warm_centers != nullptr) {
     SSLIC_CHECK_MSG(static_cast<int>(warm_centers->size()) == num_centers,
@@ -125,11 +152,9 @@ void PpaSlic::segment_impl(const LabImage& lab,
       c.y = std::clamp(c.y, 0.0, static_cast<double>(h - 1));
     }
   } else {
-    seed_centers(grid, stored, params_.perturb_centers, result.centers,
-                 scratch.gradient);
+    seed_centers(grid, planes, params_.perturb_centers, result.centers);
   }
   for (auto& c : result.centers) dist.quantize_center(c);
-  initial_labels(grid, result.labels);
   result.iterations_run = 0;
   result.trace.clear();
   result.trace.reserve(static_cast<std::size_t>(params_.max_iterations));
@@ -137,13 +162,15 @@ void PpaSlic::segment_impl(const LabImage& lab,
   // Subset-major working state (DESIGN.md "Subset-major PPA iterations"):
   // the planes and the labels store each row's stride phases one after
   // another, so the active pixels of any row segment are one contiguous
-  // run and the loop below touches nothing else. Kernel dispatch is
-  // resolved once, outside the row loops.
-  const int stride = schedule.stride();
+  // run and the loop below touches nothing else. The initial labels are
+  // written in that order directly; result.labels gets the natural order
+  // back after the iterations. Kernel dispatch is resolved once, outside
+  // the row loops.
+  const int stride = stride_;
   const SubsetMajorRow layout{w, stride};
-  split_lab_planes(stored, scratch.planes, stride);
-  const LabPlanes& planes = scratch.planes;
-  to_subset_major(result.labels, stride, scratch.subset_labels);
+  initial_labels(grid, scratch.subset_labels, stride);
+  if (result.labels.width() != w || result.labels.height() != h)
+    result.labels = LabelImage(w, h);
   std::int32_t* const labels_sm = scratch.subset_labels.data();
   const kernels::KernelTable& kt = kernels::active();
   const double spatial_weight = dist.spatial_weight();

@@ -49,9 +49,9 @@ class PpaSlic {
       Instrumentation* instrumentation = nullptr,
       PhaseTimer* phases = nullptr) const;
 
-  /// Buffer-reusing variants: write into `result` and draw every working
-  /// buffer from `scratch`. Repeated calls at an unchanged geometry make
-  /// the run allocation-free (TemporalSlic's steady state; asserted by
+  /// Buffer-reusing variants: split `lab` into scratch.planes at stride()
+  /// and run segment_planes_into, writing into `result`. Repeated calls at
+  /// an unchanged geometry make the run allocation-free (asserted by
   /// tests/test_fused.cpp). Results are identical to the value-returning
   /// overloads.
   void segment_lab_into(const LabImage& lab, Segmentation& result,
@@ -66,19 +66,33 @@ class PpaSlic {
                              Instrumentation* instrumentation = nullptr,
                              PhaseTimer* phases = nullptr) const;
 
+  /// Column stride of the subset-major layout the iterations read:
+  /// SubsetSchedule::stride() of the configured ratio and pattern. The
+  /// planes core takes its planes at this stride.
+  [[nodiscard]] int stride() const { return stride_; }
+
+  /// The core every entry point runs. `planes` holds the frame with rows
+  /// at SubsetMajorRow{width, stride()} (planes.stride must equal
+  /// stride()) — what srgb_to_lab(rgb, planes, stride()) produces, with no
+  /// split pass. A non-null `warm_centers` starts from those centers as
+  /// segment_lab_warm does. `planes` may be `scratch.planes`; the core
+  /// never writes it. Results are byte-identical to the LabImage overloads
+  /// on the same frame, and repeated calls at an unchanged geometry are
+  /// allocation-free.
+  void segment_planes_into(const LabPlanes& planes,
+                           const std::vector<ClusterCenter>* warm_centers,
+                           Segmentation& result, IterationScratch& scratch,
+                           const IterationCallback& callback = {},
+                           Instrumentation* instrumentation = nullptr,
+                           PhaseTimer* phases = nullptr) const;
+
   [[nodiscard]] const SlicParams& params() const { return params_; }
   [[nodiscard]] const DataWidth& data_width() const { return data_width_; }
 
  private:
-  void segment_impl(const LabImage& lab,
-                    const std::vector<ClusterCenter>* warm_centers,
-                    Segmentation& result, IterationScratch& scratch,
-                    const IterationCallback& callback,
-                    Instrumentation* instrumentation,
-                    PhaseTimer* phases) const;
-
   SlicParams params_;
   DataWidth data_width_;
+  int stride_;
 };
 
 }  // namespace sslic

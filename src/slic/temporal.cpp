@@ -40,24 +40,18 @@ const Segmentation& TemporalSlic::next_frame(const RgbImage& frame,
   const bool can_warm = has_state() && frame.width() == state_width_ &&
                         frame.height() == state_height_;
 
+  SlicParams frame_params = params_;
+  if (can_warm) frame_params.max_iterations = warm_iterations_;
+  const PpaSlic segmenter(frame_params, data_width_);
   {
     Stopwatch watch;
-    srgb_to_lab(frame, lab_);
+    srgb_to_lab(frame, scratch_.planes, segmenter.stride());
     if (phases != nullptr)
       phases->add(CpaSlic::kPhaseColorConversion, watch.elapsed_ms());
   }
-
-  if (can_warm) {
-    SlicParams warm_params = params_;
-    warm_params.max_iterations = warm_iterations_;
-    const PpaSlic segmenter(warm_params, data_width_);
-    segmenter.segment_lab_warm_into(lab_, previous_centers_, result_, scratch_,
-                                    {}, instrumentation, phases);
-  } else {
-    const PpaSlic segmenter(params_, data_width_);
-    segmenter.segment_lab_into(lab_, result_, scratch_, {}, instrumentation,
-                               phases);
-  }
+  segmenter.segment_planes_into(scratch_.planes,
+                                can_warm ? &previous_centers_ : nullptr,
+                                result_, scratch_, {}, instrumentation, phases);
 
   // Same center count in steady state: copy-assign reuses the storage.
   previous_centers_ = result_.centers;

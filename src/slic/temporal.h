@@ -9,10 +9,12 @@
 // to cold (grid) initialization on the first frame, on a resolution/K
 // change, or after reset() (e.g. at a scene cut).
 //
-// All per-frame working memory (Lab conversion buffer, segmentation
-// output, iteration scratch) lives in the wrapper, so a steady-state
-// stream — same resolution and K from frame 2 on — runs with zero heap
-// allocations per frame (asserted by tests/test_fused.cpp).
+// All per-frame working memory (segmentation output, iteration scratch)
+// lives in the wrapper, so a steady-state stream — same resolution and K
+// from frame 2 on — runs with zero heap allocations per frame (asserted by
+// tests/test_fused.cpp). Each frame is converted straight into the
+// scratch's Lab planes in PpaSlic's subset-major layout; there is no
+// interleaved Lab copy.
 #pragma once
 
 #include <vector>
@@ -61,7 +63,6 @@ class TemporalSlic {
   int state_height_ = 0;
   std::vector<ClusterCenter> previous_centers_;
   // Per-frame buffers, reused across calls.
-  LabImage lab_;
   Segmentation result_;
   IterationScratch scratch_;
 };

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "image/planar.h"
 #include "slic/assign_kernels.h"
 
 namespace sslic {
@@ -47,26 +48,40 @@ LabF srgb_to_lab_std_cbrt(Rgb8 rgb) {
           static_cast<float>(200.0 * (fy - fz))};
 }
 
-/// Converts all 2^24 colours with `convert(rgb, count, lab)` and counts the
-/// ones whose bits differ from srgb_to_lab(Rgb8). Slab r holds the 65536
-/// colours with red = r; slabs are spread over the global pool.
+/// Converts all 2^24 colours with `convert(rgb, x_step, count, L, a, b)`
+/// (the srgb_to_lab_row signature) and counts the ones whose bits differ
+/// from srgb_to_lab(Rgb8). Slab r holds the 65536 colours with red = r,
+/// colour i of the slab at rgb[x_step * i]; the pixels between them hold
+/// other colours the conversion must skip. Slabs are spread over the
+/// global pool.
 template <typename Convert>
-std::int64_t mismatches_over_all_colors(const Convert& convert) {
+std::int64_t mismatches_over_all_colors(std::int32_t x_step,
+                                        const Convert& convert) {
   constexpr std::int32_t kSlab = 256 * 256;
   std::atomic<std::int64_t> mismatches{0};
   parallel_for(0, 256, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<Rgb8> rgb(kSlab);
-    std::vector<LabF> lab(kSlab);
+    const auto step = static_cast<std::size_t>(x_step);
+    std::vector<Rgb8> rgb(kSlab * step);
+    std::vector<float> L(kSlab), a(kSlab), b(kSlab);
     std::int64_t local = 0;
     for (std::int64_t r = lo; r < hi; ++r) {
-      for (std::int32_t i = 0; i < kSlab; ++i) {
-        rgb[static_cast<std::size_t>(i)] = {static_cast<std::uint8_t>(r),
-                                            static_cast<std::uint8_t>(i >> 8),
-                                            static_cast<std::uint8_t>(i)};
+      for (std::size_t i = 0; i < rgb.size(); ++i) {
+        const Rgb8 colour{static_cast<std::uint8_t>(r),
+                          static_cast<std::uint8_t>(i / step >> 8),
+                          static_cast<std::uint8_t>(i / step)};
+        // Skipped pixels get the complement, so reading one shows.
+        rgb[i] = i % step == 0
+                     ? colour
+                     : Rgb8{static_cast<std::uint8_t>(~colour.r),
+                            static_cast<std::uint8_t>(~colour.g),
+                            static_cast<std::uint8_t>(~colour.b)};
       }
-      convert(rgb.data(), kSlab, lab.data());
-      for (std::size_t i = 0; i < rgb.size(); ++i)
-        local += same_bits(lab[i], srgb_to_lab(rgb[i])) ? 0 : 1;
+      convert(rgb.data(), x_step, kSlab, L.data(), a.data(), b.data());
+      for (std::size_t i = 0; i < L.size(); ++i) {
+        local += same_bits({L[i], a[i], b[i]}, srgb_to_lab(rgb[i * step]))
+                     ? 0
+                     : 1;
+      }
     }
     mismatches += local;
   });
@@ -192,15 +207,61 @@ TEST(ColorReference, FullImageConversionMatchesPerPixel) {
   }
 }
 
+TEST(ColorReference, PlanarConversionMatchesSplitOfInterleaved) {
+  // The frame path's conversion must write exactly the planes a split of
+  // the interleaved conversion gives, at every stride the segmenters use:
+  // widths below the stride and not divisible by it, 1xN and Nx1 rasters,
+  // one worker and four.
+  struct ThreadsGuard {
+    ~ThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } guard;
+  Rng rng(77);
+  LabPlanes got;  // reused across geometries and strides
+  for (const auto& [w, h] :
+       {std::pair{1, 9}, std::pair{9, 1}, std::pair{2, 3}, std::pair{4, 5},
+        std::pair{13, 7}, std::pair{40, 6}, std::pair{101, 17}}) {
+    RgbImage rgb(w, h);
+    for (auto& px : rgb.pixels())
+      px = {static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255)),
+            static_cast<std::uint8_t>(rng.next_int(0, 255))};
+    const LabImage lab = srgb_to_lab(rgb);
+    for (const int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      for (int stride = 1; stride <= 5; ++stride) {
+        LabPlanes want;
+        split_lab_planes(lab, want, stride);
+        srgb_to_lab(rgb, got, stride);
+        ASSERT_EQ(got.stride, stride);
+        ASSERT_EQ(got.width(), w);
+        ASSERT_EQ(got.height(), h);
+        const auto bytes = rgb.size() * sizeof(float);
+        EXPECT_EQ(std::memcmp(got.L.data(), want.L.data(), bytes), 0)
+            << w << "x" << h << " stride=" << stride << " threads=" << threads;
+        EXPECT_EQ(std::memcmp(got.a.data(), want.a.data(), bytes), 0)
+            << w << "x" << h << " stride=" << stride << " threads=" << threads;
+        EXPECT_EQ(std::memcmp(got.b.data(), want.b.data(), bytes), 0)
+            << w << "x" << h << " stride=" << stride << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // ------------------------------------------- exhaustive (all 2^24 colours)
 
 TEST(ColorExhaustive, ReferenceMatchesStdCbrtFormulation) {
   // The transcribed cube root must reproduce the labels recorded with
   // std::cbrt: every 8-bit colour, compared as bits.
   EXPECT_EQ(mismatches_over_all_colors(
-                [](const Rgb8* rgb, std::int32_t count, LabF* lab) {
-                  for (std::int32_t i = 0; i < count; ++i)
-                    lab[i] = srgb_to_lab_std_cbrt(rgb[i]);
+                1,
+                [](const Rgb8* rgb, std::int32_t, std::int32_t count, float* L,
+                   float* a, float* b) {
+                  for (std::int32_t i = 0; i < count; ++i) {
+                    const LabF lab = srgb_to_lab_std_cbrt(rgb[i]);
+                    L[i] = lab.L;
+                    a[i] = lab.a;
+                    b[i] = lab.b;
+                  }
                 }),
             0);
 }
@@ -208,17 +269,23 @@ TEST(ColorExhaustive, ReferenceMatchesStdCbrtFormulation) {
 class SrgbToLabRowExhaustive : public ::testing::TestWithParam<simd::Isa> {};
 
 TEST_P(SrgbToLabRowExhaustive, MatchesReferenceOnAllColors) {
+  // Every colour at every input stride the frame path uses (1 for CPA and
+  // full PPA, 2 for checkerboard/Bayer, up to 5 for diagonal patterns).
   const simd::Isa isa = GetParam();
   if (!kernels::backend_compiled(isa) || !simd::cpu_supports(isa))
     GTEST_SKIP() << simd::isa_name(isa) << " not runnable here";
   const kernels::KernelTable& table = kernels::table_for(isa);
   const double* gamma = srgb_gamma_table().data();
-  EXPECT_EQ(mismatches_over_all_colors(
-                [&](const Rgb8* rgb, std::int32_t count, LabF* lab) {
-                  table.srgb_to_lab_row(rgb, count, gamma, lab);
-                }),
-            0)
-      << simd::isa_name(isa);
+  for (std::int32_t x_step = 1; x_step <= 5; ++x_step) {
+    EXPECT_EQ(mismatches_over_all_colors(
+                  x_step,
+                  [&](const Rgb8* rgb, std::int32_t step, std::int32_t count,
+                      float* L, float* a, float* b) {
+                    table.srgb_to_lab_row(rgb, step, count, gamma, L, a, b);
+                  }),
+              0)
+        << simd::isa_name(isa) << " x_step=" << x_step;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

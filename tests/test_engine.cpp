@@ -475,6 +475,44 @@ TEST(StreamEngine, TwoEnginesDoNotAliasMetrics) {
   EXPECT_EQ(registry.counter(second_name).value(), 0u);
 }
 
+TEST(StreamEngine, DestroyedEnginesRetireTheirMetricSeries) {
+  // Every engine registers per-instance and per-stream series (and an SLO
+  // tracker's); building and destroying engines must not leave them in
+  // the process-wide registry.
+  struct SeriesCounter : telemetry::TelemetrySink {
+    std::size_t series = 0;
+    void write(const telemetry::MetricSample&) override { ++series; }
+  };
+  const auto series = [] {
+    SeriesCounter counter;
+    telemetry::MetricsRegistry::global().flush_to(counter);
+    return counter.series;
+  };
+  StreamOptions opts;
+  opts.params = small_params();
+  opts.slo_target_ms = 1000.0;
+  const RgbImage frame = generate_synthetic({120, 90}, 43).image;
+  // One engine that segments a frame; reports the series count while it
+  // is alive.
+  const auto engine_with_frame = [&] {
+    StreamEngine engine;
+    const StreamId id = engine.open_stream(opts);
+    const auto submitted = engine.submit(id, frame);
+    EXPECT_EQ(engine.wait(submitted.ticket), WaitStatus::kCompleted);
+    return series();
+  };
+  // Process-wide series that a first frame registers once (kernel ISA,
+  // pool) are not the engine's.
+  engine_with_frame();
+  const std::size_t before = series();
+  EXPECT_GT(engine_with_frame(), before);
+  for (int i = 1; i < 50; ++i) {
+    StreamEngine engine;
+    static_cast<void>(engine.open_stream(opts));
+  }
+  EXPECT_EQ(series(), before);
+}
+
 TEST(BatchSegmenter, InstancesDoNotAliasMetrics) {
   // The per-instance keying fixed here: with a singleton key, running one
   // segmenter would bump (and its finished batch would zero the inflight

@@ -94,15 +94,15 @@ TEST(SubsetMajor, SplitAndLabelPermutationsRoundTrip) {
     const SubsetMajorRow layout{13, stride};
     LabPlanes planes;
     split_lab_planes(lab, planes, stride);
-    LabelImage permuted;
-    to_subset_major(labels, stride, permuted);
+    EXPECT_EQ(planes.stride, stride);
+    LabelImage permuted(13, 4, -1);
     for (int y = 0; y < 4; ++y) {
       for (int x = 0; x < 13; ++x) {
         const int pos = layout.position(x);
         EXPECT_EQ(planes.L(pos, y), lab(x, y).L);
         EXPECT_EQ(planes.a(pos, y), lab(x, y).a);
         EXPECT_EQ(planes.b(pos, y), lab(x, y).b);
-        EXPECT_EQ(permuted(pos, y), labels(x, y));
+        permuted(pos, y) = labels(x, y);
       }
     }
     LabelImage restored(13, 4, -1);

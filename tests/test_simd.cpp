@@ -606,47 +606,76 @@ TEST(SimdKernels, AssignCandidatesRowU8MatchesScalarExactly) {
 }
 
 TEST(SimdKernels, SrgbToLabRowTailsAndOffsetsMatchScalar) {
-  // Every count from 0 to three of the widest vectors (8 lanes), from
-  // misaligned input and output starts; pixels past `count` must stay
-  // untouched. Dark channels put lanes on both sides of lab_f's branch.
+  // Every count from 0 to three of the widest vectors (8 lanes), at input
+  // strides 1-5, from misaligned input and output starts; the floats past
+  // `count` in each plane must stay untouched. Dark channels put lanes on
+  // both sides of lab_f's branch.
   const std::vector<simd::Isa> isas = testable_vector_isas();
   if (isas.empty()) GTEST_SKIP() << "no vector backend compiled for this CPU";
   const kernels::KernelTable& scalar = kernels::scalar_table();
   const double* gamma = srgb_gamma_table().data();
   constexpr std::int32_t kMaxCount = 3 * 8;
   constexpr std::size_t kSlack = 8;
-  const LabF sentinel{-1.0f, -2.0f, -3.0f};
+  static constexpr float kSentinel = -7.0f;
 
+  struct Planes {
+    std::vector<float> L, a, b;
+    explicit Planes(std::size_t n)
+        : L(n, kSentinel), a(n, kSentinel), b(n, kSentinel) {}
+  };
   Rng rng(0xc0105);
-  for (std::int32_t count = 0; count <= kMaxCount; ++count) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto in_off = static_cast<std::size_t>(rng.next_int(0, 7));
-      const auto out_off = static_cast<std::size_t>(rng.next_int(0, 7));
-      std::vector<Rgb8> rgb(in_off + static_cast<std::size_t>(count));
-      for (Rgb8& px : rgb) {
-        const int hi = rng.next_bool(0.5) ? 24 : 255;
-        px = {static_cast<std::uint8_t>(rng.next_int(0, hi)),
-              static_cast<std::uint8_t>(rng.next_int(0, hi)),
-              static_cast<std::uint8_t>(rng.next_int(0, hi))};
-      }
-      std::vector<LabF> ref(out_off + static_cast<std::size_t>(count) + kSlack,
-                            sentinel);
-      scalar.srgb_to_lab_row(rgb.data() + in_off, count, gamma,
-                             ref.data() + out_off);
-      for (std::int32_t i = 0; i < count; ++i) {
-        ASSERT_EQ(ref[out_off + static_cast<std::size_t>(i)],
-                  srgb_to_lab(rgb[in_off + static_cast<std::size_t>(i)]))
-            << "scalar kernel vs reference, count=" << count << " i=" << i;
-      }
-      for (const simd::Isa isa : isas) {
-        std::vector<LabF> got(ref.size(), sentinel);
-        kernels::table_for(isa).srgb_to_lab_row(rgb.data() + in_off, count,
-                                                gamma, got.data() + out_off);
-        ASSERT_EQ(std::memcmp(got.data(), ref.data(),
-                              ref.size() * sizeof(LabF)),
-                  0)
-            << "isa=" << simd::isa_name(isa) << " count=" << count
-            << " in_off=" << in_off << " out_off=" << out_off;
+  for (std::int32_t x_step = 1; x_step <= 5; ++x_step) {
+    const auto step = static_cast<std::size_t>(x_step);
+    for (std::int32_t count = 0; count <= kMaxCount; ++count) {
+      const auto n = static_cast<std::size_t>(count);
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto in_off = static_cast<std::size_t>(rng.next_int(0, 7));
+        const auto out_off = static_cast<std::size_t>(rng.next_int(0, 7));
+        // Exactly the pixels the run spans: a read past the last one is
+        // out of bounds (ASan catches it).
+        std::vector<Rgb8> rgb(in_off + (n == 0 ? 0 : step * (n - 1) + 1));
+        for (Rgb8& px : rgb) {
+          const int hi = rng.next_bool(0.5) ? 24 : 255;
+          px = {static_cast<std::uint8_t>(rng.next_int(0, hi)),
+                static_cast<std::uint8_t>(rng.next_int(0, hi)),
+                static_cast<std::uint8_t>(rng.next_int(0, hi))};
+        }
+        const std::size_t size = out_off + n + kSlack;
+        Planes ref(size);
+        scalar.srgb_to_lab_row(rgb.data() + in_off, x_step, count, gamma,
+                               ref.L.data() + out_off, ref.a.data() + out_off,
+                               ref.b.data() + out_off);
+        for (std::size_t i = 0; i < size; ++i) {
+          const bool written = i >= out_off && i < out_off + n;
+          if (!written) {
+            ASSERT_EQ(ref.L[i], kSentinel) << "scalar wrote L[" << i << "]";
+            ASSERT_EQ(ref.a[i], kSentinel) << "scalar wrote a[" << i << "]";
+            ASSERT_EQ(ref.b[i], kSentinel) << "scalar wrote b[" << i << "]";
+            continue;
+          }
+          const LabF want = srgb_to_lab(rgb[in_off + step * (i - out_off)]);
+          ASSERT_EQ((LabF{ref.L[i], ref.a[i], ref.b[i]}), want)
+              << "scalar kernel vs reference, x_step=" << x_step
+              << " count=" << count << " i=" << i - out_off;
+        }
+        for (const simd::Isa isa : isas) {
+          Planes got(size);
+          kernels::table_for(isa).srgb_to_lab_row(
+              rgb.data() + in_off, x_step, count, gamma,
+              got.L.data() + out_off, got.a.data() + out_off,
+              got.b.data() + out_off);
+          const auto bytes = size * sizeof(float);
+          ASSERT_EQ(std::memcmp(got.L.data(), ref.L.data(), bytes), 0)
+              << "L isa=" << simd::isa_name(isa) << " x_step=" << x_step
+              << " count=" << count << " in_off=" << in_off
+              << " out_off=" << out_off;
+          ASSERT_EQ(std::memcmp(got.a.data(), ref.a.data(), bytes), 0)
+              << "a isa=" << simd::isa_name(isa) << " x_step=" << x_step
+              << " count=" << count;
+          ASSERT_EQ(std::memcmp(got.b.data(), ref.b.data(), bytes), 0)
+              << "b isa=" << simd::isa_name(isa) << " x_step=" << x_step
+              << " count=" << count;
+        }
       }
     }
   }

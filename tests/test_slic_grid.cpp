@@ -10,6 +10,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "image/planar.h"
 #include "slic/connectivity.h"
 #include "slic/grid.h"
 #include "slic/subset_schedule.h"
@@ -59,7 +61,7 @@ TEST(CenterGrid, CellLookupMonotone) {
 TEST(CenterGrid, CellColumnBeginsMatchCellLookup) {
   // cell_x_begin bounds exactly the columns cell_x maps to each grid column,
   // including widths where the cells and the PPA tiles (gx * w / nx) split
-  // at different columns.
+  // at different columns; cell_y_begin does the same for rows.
   for (const auto& [w, h, k] : {std::array<int, 3>{97, 53, 30},
                                 std::array<int, 3>{123, 77, 60},
                                 std::array<int, 3>{4, 37, 6},
@@ -70,6 +72,12 @@ TEST(CenterGrid, CellColumnBeginsMatchCellLookup) {
     for (int gx = 0; gx < grid.nx(); ++gx) {
       for (int x = grid.cell_x_begin(gx); x < grid.cell_x_begin(gx + 1); ++x)
         ASSERT_EQ(grid.cell_x(x), gx) << w << "x" << h << " x=" << x;
+    }
+    EXPECT_EQ(grid.cell_y_begin(0), 0);
+    EXPECT_EQ(grid.cell_y_begin(grid.ny()), h);
+    for (int gy = 0; gy < grid.ny(); ++gy) {
+      for (int y = grid.cell_y_begin(gy); y < grid.cell_y_begin(gy + 1); ++y)
+        ASSERT_EQ(grid.cell_y(y), gy) << w << "x" << h << " y=" << y;
     }
   }
 }
@@ -132,6 +140,45 @@ TEST(SeedCenters, PerturbationBoundedTo3x3) {
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_LE(std::abs(plain[i].x - perturbed[i].x), 1.0);
     EXPECT_LE(std::abs(plain[i].y - perturbed[i].y), 1.0);
+  }
+}
+
+TEST(SeedCenters, FromPlanesMatchesInterleavedAtEveryStride) {
+  // The frame path seeds from the planes, evaluating the gradient only
+  // around each seed; it must pick the same positions and colours as the
+  // full gradient plane. The geometries put seeds on the image border
+  // (K = pixels, 2-pixel edges) and in the interior.
+  Rng rng(913);
+  struct Case {
+    int w, h, k;
+  };
+  for (const Case& g : {Case{2, 2, 1}, Case{2, 2, 4}, Case{2, 11, 5},
+                        Case{11, 2, 5}, Case{3, 3, 9}, Case{7, 5, 35},
+                        Case{16, 16, 1}, Case{31, 17, 12}, Case{60, 45, 40}}) {
+    LabImage lab(g.w, g.h);
+    for (auto& px : lab.pixels())
+      px = {static_cast<float>(rng.next_double(0.0, 100.0)),
+            static_cast<float>(rng.next_double(-80.0, 80.0)),
+            static_cast<float>(rng.next_double(-80.0, 80.0))};
+    const CenterGrid grid(g.w, g.h, g.k);
+    for (const bool perturb : {false, true}) {
+      const auto want = seed_centers(grid, lab, perturb);
+      for (int stride = 1; stride <= 4; ++stride) {
+        LabPlanes planes;
+        split_lab_planes(lab, planes, stride);
+        std::vector<ClusterCenter> got;
+        seed_centers(grid, planes, perturb, got);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].x, want[i].x) << g.w << "x" << g.h << " K=" << g.k
+                                         << " stride=" << stride << " i=" << i;
+          EXPECT_EQ(got[i].y, want[i].y) << g.w << "x" << g.h << " i=" << i;
+          EXPECT_EQ(got[i].L, want[i].L) << g.w << "x" << g.h << " i=" << i;
+          EXPECT_EQ(got[i].a, want[i].a) << g.w << "x" << g.h << " i=" << i;
+          EXPECT_EQ(got[i].b, want[i].b) << g.w << "x" << g.h << " i=" << i;
+        }
+      }
+    }
   }
 }
 
@@ -201,6 +248,46 @@ TEST(InitialLabels, MatchOwnGridCell) {
   for (int y = 0; y < 30; ++y)
     for (int x = 0; x < 50; ++x)
       EXPECT_EQ(labels(x, y), grid.center_index(grid.cell_x(x), grid.cell_y(y)));
+}
+
+TEST(InitialLabels, RunFillMatchesPerPixelFormulaAtEveryStride) {
+  // The run fill against the per-pixel definition, stored subset-major:
+  // thin rasters (the grid needs both sides >= 2), K = 1, K near and above
+  // the pixel count (empty grid cells), awkward sizes, one worker and four.
+  struct ThreadsGuard {
+    ~ThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } guard;
+  struct Case {
+    int w, h, k;
+  };
+  // Reused: each case enters with the previous one's size and each stride
+  // with the previous stride's labels, so the fill must resize and
+  // overwrite every entry.
+  LabelImage labels;
+  for (const int threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    for (const Case& g :
+         {Case{2, 40, 7}, Case{40, 2, 7}, Case{2, 2, 1}, Case{33, 21, 1},
+          Case{9, 7, 63}, Case{9, 7, 200}, Case{97, 53, 30},
+          Case{200, 3, 590}, Case{3, 200, 590}}) {
+      const CenterGrid grid(g.w, g.h, g.k);
+      for (int stride = 1; stride <= 5; ++stride) {
+        initial_labels(grid, labels, stride);
+        ASSERT_EQ(labels.width(), g.w);
+        ASSERT_EQ(labels.height(), g.h);
+        const SubsetMajorRow layout{g.w, stride};
+        for (int y = 0; y < g.h; ++y) {
+          for (int x = 0; x < g.w; ++x) {
+            ASSERT_EQ(labels(layout.position(x), y),
+                      grid.center_index(grid.cell_x(x), grid.cell_y(y)))
+                << g.w << "x" << g.h << " K=" << g.k << " stride=" << stride
+                << " threads=" << threads << " at (" << x << ", " << y
+                << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- SubsetSchedule
